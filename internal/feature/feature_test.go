@@ -171,3 +171,30 @@ func TestDescribe(t *testing.T) {
 		t.Fatalf("empty Describe = %q", d)
 	}
 }
+
+// TestExtractSubsetIntoMatchesExtractSubset pins the pooled-row serving
+// entry point to the allocating one, including the zeroing of unlisted
+// entries when a dirty row is reused.
+func TestExtractSubsetIntoMatchesExtractSubset(t *testing.T) {
+	set := makeSet()
+	in := sliceInput{9, 1, 8, 2, 7, 3, 6, 4, 5, 0}
+	indices := []int{set.Index(0, 1), set.Index(1, 2)}
+	want := set.ExtractSubset(in, indices, nil)
+
+	dst := make([]float64, set.NumFeatures())
+	for i := range dst {
+		dst[i] = 99 // dirt that must be cleared
+	}
+	m1 := cost.NewMeter()
+	m2 := cost.NewMeter()
+	set.ExtractSubset(in, indices, m1)
+	got := set.ExtractSubsetInto(dst, in, indices, m2)
+	for f := range want {
+		if got[f] != want[f] {
+			t.Fatalf("feature %d: into=%v subset=%v", f, got[f], want[f])
+		}
+	}
+	if m1.Elapsed() != m2.Elapsed() {
+		t.Fatalf("meters diverged: %v vs %v", m1.Elapsed(), m2.Elapsed())
+	}
+}

@@ -79,3 +79,54 @@ func (p *SlicePool[T]) Put(s []T) {
 	}
 	p.pools[cls].Put(s[:0])
 }
+
+// Float64 buffers back served inputs: the wire decoder reads each vector
+// field straight into one, and the buffer becomes the input's backing
+// array with no second materialization. Extraction itself then runs
+// through the one shared routine (Set.extractOne), so a served request
+// computes bit-identical feature values to an offline one.
+//
+// Buffer size classes are powers of two from 1<<minPoolShift to
+// 1<<maxPoolShift float64s (256 .. 2M elements, 2 KB .. 16 MB). Requests
+// outside the classes fall back to plain allocation.
+const (
+	minPoolShift = 8
+	maxPoolShift = 21
+)
+
+// bufPool holds []float64 slices in classes 1<<minPoolShift .. 1<<maxPoolShift.
+var bufPool = NewSlicePool[float64](minPoolShift, maxPoolShift)
+
+// GetBuffer returns a zero-length float64 slice with capacity at least
+// capacityHint, drawn from a size-classed pool when possible. The slice's
+// contents beyond its length are unspecified; callers append into it.
+func GetBuffer(capacityHint int) []float64 { return bufPool.Get(capacityHint) }
+
+// PutBuffer returns a buffer obtained from GetBuffer (or anywhere else) to
+// the pool. The caller must not touch buf afterwards: a later GetBuffer
+// may hand the same backing array to another goroutine. Small or oversized
+// buffers are dropped for the garbage collector.
+func PutBuffer(buf []float64) { bufPool.Put(buf) }
+
+// Raw byte blocks get the same treatment as float64 buffers: the wire
+// layer reads whole request bodies (binary frames the fleet router
+// fingerprints in place, JSON envelopes it normalizes) before any
+// decoding, and per-request io.ReadAll growth was the one allocation left
+// on that path. Classes are powers of two from 512 B to 16 MB; requests
+// outside fall back to plain allocation.
+const (
+	minBytePoolShift = 9
+	maxBytePoolShift = 24
+)
+
+// bytePool holds []byte slices in classes 1<<minBytePoolShift .. 1<<maxBytePoolShift.
+var bytePool = NewSlicePool[byte](minBytePoolShift, maxBytePoolShift)
+
+// GetBytes returns a zero-length byte slice with capacity at least
+// capacityHint, drawn from a size-classed pool when possible.
+func GetBytes(capacityHint int) []byte { return bytePool.Get(capacityHint) }
+
+// PutBytes returns a buffer obtained from GetBytes (or anywhere else) to
+// the pool. The caller must not touch buf afterwards. Small or oversized
+// buffers are dropped for the garbage collector.
+func PutBytes(buf []byte) { bytePool.Put(buf) }

@@ -33,8 +33,9 @@
 // Wire inputs are decoded per benchmark by the schema-driven codecs in
 // codec.go over the wire layer in wire.go: one schema per benchmark, two
 // negotiated formats (JSON, kept bit-compatible with PR 4, and the
-// length-prefixed binary frame whose vectors stream into pooled buffers —
-// see docs/ARCHITECTURE.md § Wire protocol). The serve-bench load
-// generator (internal/exp) uses the same codecs to encode generated
-// inputs, so the bench drives the real wire path, one arm per format.
+// length-prefixed binary frame, whose vectors are read byte for byte into
+// pooled float64 buffers — see docs/ARCHITECTURE.md § Wire protocol). The
+// serve-bench load generator (internal/exp) uses the same codecs to encode
+// generated inputs, so the bench drives the real wire path, one arm per
+// format.
 package serve

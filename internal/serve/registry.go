@@ -34,6 +34,20 @@ type Snapshot struct {
 	// what fleet generation-skew accounting needs: two replicas at
 	// different generation numbers may well serve the same artifact.
 	ArtifactHash uint64
+	// Descriptions renders each of the model's landmarks against the
+	// program's space (Space.DescribeConfig), once per publish rather than
+	// once per served decision.
+	Descriptions []string
+}
+
+// describeLandmarks renders every landmark of m for Snapshot.Descriptions.
+func describeLandmarks(m *core.Model) []string {
+	space := m.Program.Space()
+	out := make([]string, len(m.Landmarks))
+	for i, lm := range m.Landmarks {
+		out[i] = space.DescribeConfig(lm)
+	}
+	return out
 }
 
 // hashArtifact is FNV-1a 64 over the artifact bytes.
@@ -98,24 +112,46 @@ func (r *Registry) lookup(name string) (*entry, error) {
 	return e, nil
 }
 
-// artifactHeader is the minimal artifact prefix needed to route a reload:
-// SaveModel always records the benchmark name.
-type artifactHeader struct {
-	Benchmark string `json:"benchmark"`
+// artifactBenchmark returns the top-level "benchmark" value a reload is
+// routed by. It scans tokens only as far as that key, which SaveModel
+// writes second, so the artifact is parsed in full once, by LoadModel.
+func artifactBenchmark(artifact []byte) (string, error) {
+	dec := json.NewDecoder(bytes.NewReader(artifact))
+	if tok, err := dec.Token(); err != nil {
+		return "", err
+	} else if tok != json.Delim('{') {
+		return "", fmt.Errorf("not a JSON object")
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return "", err
+		}
+		if key == "benchmark" {
+			var name string
+			err := dec.Decode(&name)
+			return name, err
+		}
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			return "", err
+		}
+	}
+	return "", nil
 }
 
 // Load parses a SaveModel artifact, validates it against the benchmark
 // named INSIDE the artifact, and atomically publishes it. On any error the
 // previously published snapshot (if one exists) keeps serving untouched.
 func (r *Registry) Load(artifact []byte) (*Snapshot, error) {
-	var hdr artifactHeader
-	if err := json.Unmarshal(artifact, &hdr); err != nil {
+	name, err := artifactBenchmark(artifact)
+	if err != nil {
 		return nil, fmt.Errorf("serve: unreadable artifact: %w", err)
 	}
-	if hdr.Benchmark == "" {
+	if name == "" {
 		return nil, fmt.Errorf("serve: artifact names no benchmark")
 	}
-	e, err := r.lookup(hdr.Benchmark)
+	e, err := r.lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -123,18 +159,19 @@ func (r *Registry) Load(artifact []byte) (*Snapshot, error) {
 	defer e.loadMu.Unlock()
 	model, err := core.LoadModel(e.prog, bytes.NewReader(artifact))
 	if err != nil {
-		return nil, fmt.Errorf("serve: rejecting artifact for %q: %w", hdr.Benchmark, err)
+		return nil, fmt.Errorf("serve: rejecting artifact for %q: %w", name, err)
 	}
 	// Lower the production classifier into its compiled (flat-array) form
 	// before the snapshot goes live, so every request served from it walks
 	// the branch-free path.
 	model.CompileClassifiers()
 	snap := &Snapshot{
-		Benchmark:     hdr.Benchmark,
+		Benchmark:     name,
 		Model:         model,
 		Generation:    r.gen.Add(1),
 		ArtifactBytes: len(artifact),
 		ArtifactHash:  hashArtifact(artifact),
+		Descriptions:  describeLandmarks(model),
 	}
 	e.cur.Store(snap)
 	return snap, nil
@@ -162,7 +199,12 @@ func (r *Registry) Install(m *core.Model) (*Snapshot, error) {
 	e.loadMu.Lock()
 	defer e.loadMu.Unlock()
 	m.CompileClassifiers()
-	snap := &Snapshot{Benchmark: m.Program.Name(), Model: m, Generation: r.gen.Add(1)}
+	snap := &Snapshot{
+		Benchmark:    m.Program.Name(),
+		Model:        m,
+		Generation:   r.gen.Add(1),
+		Descriptions: describeLandmarks(m),
+	}
 	e.cur.Store(snap)
 	return snap, nil
 }

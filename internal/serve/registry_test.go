@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"inputtune/internal/benchmarks/sortbench"
+	"inputtune/internal/core"
 )
 
 func TestRegistryUnknownAndUnloaded(t *testing.T) {
@@ -167,5 +168,65 @@ func TestHotReloadUnderConcurrentRequests(t *testing.T) {
 	snap, _ := reg.Get("sort")
 	if snap.Generation < 2 {
 		t.Fatalf("expected multiple reload generations, at %d", snap.Generation)
+	}
+}
+
+// TestServedDescriptionsMatchDescribeConfig pins the precomputed
+// Snapshot.Descriptions to Space.DescribeConfig: every served decision,
+// from an artifact load and from an in-process install, carries exactly
+// the bytes DescribeConfig renders for its landmark.
+func TestServedDescriptionsMatchDescribeConfig(t *testing.T) {
+	loaded := sortServiceRegistry(t)
+	installed := NewRegistry()
+	if _, err := installed.Install(testModels.packModel); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		reg    *Registry
+		bench  string
+		inputs []core.Input
+	}{
+		{loaded, "sort", testModels.sortInputs},
+		{installed, "binpacking", testModels.packInputs},
+	}
+	for _, c := range cases {
+		snap, _ := c.reg.Get(c.bench)
+		space := snap.Model.Program.Space()
+		if len(snap.Descriptions) != len(snap.Model.Landmarks) {
+			t.Fatalf("%s: %d descriptions for %d landmarks", c.bench, len(snap.Descriptions), len(snap.Model.Landmarks))
+		}
+		svc := NewService(c.reg, Options{})
+		for _, in := range c.inputs {
+			d, err := svc.Classify(c.bench, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := space.DescribeConfig(d.Config); d.ConfigDescription != want {
+				t.Fatalf("%s landmark %d: served %q, DescribeConfig %q", c.bench, d.Landmark, d.ConfigDescription, want)
+			}
+		}
+	}
+}
+
+// TestArtifactBenchmarkScan pins the reload router's token scan: it finds
+// the top-level benchmark wherever it sits, ignores nested keys of the
+// same name, and rejects what is not a JSON object.
+func TestArtifactBenchmarkScan(t *testing.T) {
+	for _, c := range []struct {
+		artifact, want string
+		ok             bool
+	}{
+		{`{"version": 1, "benchmark": "sort", "landmarks": [`, "sort", true},
+		{`{"report": {"benchmark": "x"}, "benchmark": "svd"}`, "svd", true},
+		{`{"version": 1}`, "", true},
+		{`{"benchmark": 5}`, "", false},
+		{`[{"benchmark": "sort"}]`, "", false},
+		{`not json at all`, "", false},
+		{``, "", false},
+	} {
+		got, err := artifactBenchmark([]byte(c.artifact))
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("%q: got (%q, %v), want %q ok=%v", c.artifact, got, err, c.want, c.ok)
+		}
 	}
 }

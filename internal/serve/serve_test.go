@@ -22,7 +22,7 @@ var testModels struct {
 	sortArtifct []byte
 }
 
-func trainTestModels(t *testing.T) {
+func trainTestModels(t testing.TB) {
 	t.Helper()
 	testModels.once.Do(func() {
 		opts := core.Options{K1: 4, Seed: 19, TunerPopulation: 6, TunerGenerations: 4, Parallel: true}
@@ -53,7 +53,7 @@ func trainTestModels(t *testing.T) {
 
 // sortServiceRegistry returns a registry with a fresh sort program whose
 // model was loaded through the artifact path (the production wire).
-func sortServiceRegistry(t *testing.T) *Registry {
+func sortServiceRegistry(t testing.TB) *Registry {
 	t.Helper()
 	trainTestModels(t)
 	reg := NewRegistry()

@@ -407,7 +407,7 @@ func (s *Service) classifyNow(benchmark string, in core.Input, t *obs.Trace) (*D
 		Generation:        snap.Generation,
 		Landmark:          label,
 		Config:            model.Landmarks[label],
-		ConfigDescription: model.Program.Space().DescribeConfig(model.Landmarks[label]),
+		ConfigDescription: snap.Descriptions[label],
 		Classifier:        prod.Name,
 		FeatureUnits:      meter.Elapsed(),
 		CacheHit:          cacheHit,

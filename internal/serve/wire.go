@@ -7,7 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"sync"
+	"unsafe"
 
 	"inputtune/internal/core"
 	"inputtune/internal/feature"
@@ -16,8 +16,10 @@ import (
 // This file is the wire layer under the per-benchmark codecs: the
 // negotiated format identifiers, the generic JSON serializer (bit-
 // compatible with the PR-4 wire structs), and the length-prefixed binary
-// format, whose decoder streams vector payloads straight from the request
-// body into pooled buffers — the zero-allocation request path.
+// format, whose decoder reads each vector's bytes from the request body
+// straight into a pooled float64 buffer. Floats travel as little-endian
+// IEEE-754 bits, so on little-endian hosts that read is the whole decode;
+// big-endian hosts reorder each vector's bytes in place after reading.
 //
 // Binary frame layout (all integers little-endian):
 //
@@ -96,9 +98,6 @@ const (
 	// many elements before the stream runs dry and errors.
 	vecPreAlloc = 1 << 16
 )
-
-// scratchPool holds the byte blocks binary decode/encode streams through.
-var scratchPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
 // payload is the flat decoded content of one request: every wire format
 // reduces to it, and every input builds from it, so the two formats cannot
@@ -284,10 +283,10 @@ func readBinaryHeader(r io.Reader) (string, error) {
 	return readBinaryName(r)
 }
 
-// decodeBinaryPayload streams the schema's fields from r. Vector contents
-// are converted block-at-a-time through a pooled byte scratch into pooled
-// float64 buffers, so a large input is materialized exactly once — as the
-// slice the feature extractors will read.
+// decodeBinaryPayload streams the schema's fields from r. Each vector's
+// bytes are read straight into its pooled float64 buffer, so a large input
+// is materialized exactly once — as the slice the feature extractors will
+// read.
 func decodeBinaryPayload(r io.Reader, sch *schema) (*payload, error) {
 	var word [8]byte
 	readU64 := func() (uint64, error) {
@@ -318,9 +317,6 @@ func decodeBinaryPayload(r io.Reader, sch *schema) (*payload, error) {
 		}
 		p.floats = append(p.floats, math.Float64frombits(u))
 	}
-	scratch := scratchPool.Get().(*[]byte)
-	defer scratchPool.Put(scratch)
-	block := *scratch
 	for _, name := range sch.vecFields {
 		count, err := readU64()
 		if err != nil {
@@ -329,28 +325,11 @@ func decodeBinaryPayload(r io.Reader, sch *schema) (*payload, error) {
 		if count > maxVecElems {
 			return fail(name, fmt.Errorf("vector of %d elements exceeds the request limit", count))
 		}
-		var acc feature.Accumulator
-		if count < vecPreAlloc {
-			acc.Grow(int(count))
-		} else {
-			acc.Grow(vecPreAlloc)
+		vec, err := readVector(r, int(count))
+		if err != nil {
+			return fail(name, err)
 		}
-		remaining := int(count)
-		for remaining > 0 {
-			n := remaining * 8
-			if n > len(block) {
-				n = len(block)
-			}
-			if _, err := io.ReadFull(r, block[:n]); err != nil {
-				feature.PutBuffer(acc.Finish())
-				return fail(name, err)
-			}
-			for off := 0; off < n; off += 8 {
-				acc.AppendOne(math.Float64frombits(binary.LittleEndian.Uint64(block[off:])))
-			}
-			remaining -= n / 8
-		}
-		p.vecs = append(p.vecs, acc.Finish())
+		p.vecs = append(p.vecs, vec)
 	}
 	// A frame carries exactly its schema's fields: trailing bytes mean a
 	// client/server schema mismatch, which must fail loudly, not silently.
@@ -358,4 +337,40 @@ func decodeBinaryPayload(r io.Reader, sch *schema) (*payload, error) {
 		return fail("frame end", fmt.Errorf("trailing bytes after the last field"))
 	}
 	return p, nil
+}
+
+// littleEndianHost reports whether float64s in memory already have
+// ITW1's little-endian byte order. It is a variable so tests can force
+// the portable conversion on any host.
+var littleEndianHost = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// readVector reads n float64s from r into a pooled buffer. The declared
+// count is trusted for at most vecPreAlloc elements: past that the buffer
+// grows through the pool only as bytes actually arrive. On error the
+// buffer goes back to the pool.
+func readVector(r io.Reader, n int) ([]float64, error) {
+	vec := feature.GetBuffer(min(n, vecPreAlloc))
+	for len(vec) < n {
+		if len(vec) == cap(vec) {
+			next := append(feature.GetBuffer(min(n, 2*cap(vec))), vec...)
+			feature.PutBuffer(vec)
+			vec = next
+		}
+		lo := len(vec)
+		vec = vec[:min(n, cap(vec))]
+		// ITW1 floats are little-endian IEEE-754 bits: read them into the
+		// buffer's own bytes, then reorder in place on big-endian hosts.
+		dst := vec[lo:]
+		raw := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 8*len(dst))
+		if _, err := io.ReadFull(r, raw); err != nil {
+			feature.PutBuffer(vec)
+			return nil, err
+		}
+		if !littleEndianHost {
+			for i := range dst {
+				dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+			}
+		}
+	}
+	return vec, nil
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"testing/iotest"
 
 	"inputtune/internal/benchmarks/sortbench"
 	"inputtune/internal/core"
@@ -128,8 +129,9 @@ func TestWireRestriction(t *testing.T) {
 }
 
 // TestBinaryDecodeLargeVector round-trips a vector far past the
-// decoder's pre-allocation guard (vecPreAlloc), exercising the pooled
-// re-growth path end to end with exact value equality.
+// decoder's pre-allocation guard (vecPreAlloc), whole and one byte per
+// read, exercising the pooled re-growth path end to end with exact value
+// equality.
 func TestBinaryDecodeLargeVector(t *testing.T) {
 	data := make([]float64, 3*vecPreAlloc+17)
 	for i := range data {
@@ -140,20 +142,22 @@ func TestBinaryDecodeLargeVector(t *testing.T) {
 	if err := EncodeBinaryRequest(&buf, "sort", in); err != nil {
 		t.Fatal(err)
 	}
-	codec, back, err := DecodeBinaryRequest(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bl := back.(*sortbench.List)
-	if len(bl.Data) != len(data) {
-		t.Fatalf("decoded %d values, want %d", len(bl.Data), len(data))
-	}
-	for i := range data {
-		if bl.Data[i] != data[i] {
-			t.Fatalf("value %d corrupted across pooled growth: %v vs %v", i, bl.Data[i], data[i])
+	for _, r := range []io.Reader{bytes.NewReader(buf.Bytes()), iotest.OneByteReader(bytes.NewReader(buf.Bytes()))} {
+		codec, back, err := DecodeBinaryRequest(r)
+		if err != nil {
+			t.Fatal(err)
 		}
+		bl := back.(*sortbench.List)
+		if len(bl.Data) != len(data) {
+			t.Fatalf("decoded %d values, want %d", len(bl.Data), len(data))
+		}
+		for i := range data {
+			if bl.Data[i] != data[i] {
+				t.Fatalf("value %d corrupted across pooled growth: %v vs %v", i, bl.Data[i], data[i])
+			}
+		}
+		codec.Release(back)
 	}
-	codec.Release(back)
 }
 
 func TestQuantizeRow(t *testing.T) {
