@@ -116,6 +116,29 @@ func TestVectorDecodeEmptyVector(t *testing.T) {
 	p.release()
 }
 
+// TestVectorDecodeOutgrowsPreAllocation decodes a vector several times
+// longer than the decoder trusts its declared count for (vecPreAlloc), on
+// the fast and the portable path, and checks every value survives the
+// pooled re-growths intact.
+func TestVectorDecodeOutgrowsPreAllocation(t *testing.T) {
+	const n = 3*vecPreAlloc + 17
+	a := make([]float64, n)
+	for i := range a {
+		a[i] = float64(i) * 0.5
+	}
+	for _, fast := range []bool{true, false} {
+		got := decodeVecs(t, vecBody(a, nil), fast)
+		if len(got[0]) != n || len(got[1]) != 0 {
+			t.Fatalf("fast=%v: decoded lengths %d, %d, want %d, 0", fast, len(got[0]), len(got[1]), n)
+		}
+		for i := range a {
+			if got[0][i] != a[i] {
+				t.Fatalf("fast=%v: value %d corrupted across growth: %v", fast, i, got[0][i])
+			}
+		}
+	}
+}
+
 // totalAlloc returns the bytes allocated by f.
 func totalAlloc(f func()) uint64 {
 	var before, after runtime.MemStats
