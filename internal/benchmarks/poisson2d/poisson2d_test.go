@@ -1,10 +1,13 @@
 package poisson2d
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"inputtune/internal/choice"
 	"inputtune/internal/cost"
+	"inputtune/internal/pde"
 	"inputtune/internal/rng"
 )
 
@@ -167,5 +170,78 @@ func TestGenerateMixSizes(t *testing.T) {
 	}
 	if !saw127 {
 		t.Fatal("mix never produced a 127-grid instance")
+	}
+}
+
+// twinProblem returns an independent Problem over a copy of prob's
+// right-hand side, so reading its exact solution leaves prob's lazy state
+// untouched.
+func twinProblem(prob *Problem) *Problem {
+	return &Problem{N: prob.N, F: prob.F.Clone(), Gen: prob.Gen}
+}
+
+// TestDirectRunReusesExactSolve proves a SolverDirect Run, which returns
+// the problem's shared exact grid, reports the accuracy and charges the
+// flops of a fresh pde.DirectPoisson2D — whether the problem's first
+// exactSolution call comes from that direct Run or from an iterative one.
+func TestDirectRunReusesExactSolve(t *testing.T) {
+	r := rng.New(53)
+	for _, first := range []int{SolverDirect, SolverSOR, SolverMultigrid} {
+		for _, gen := range Generators() {
+			prob := gen.Gen(31, r)
+			var fw pde.Work
+			fresh := pde.DirectPoisson2D(prob.F, &fw)
+			wantAcc := twinProblem(prob).accuracy(fresh)
+
+			p := New()
+			p.Run(cfgSolver(p, first), prob, cost.NewMeter())
+			m := cost.NewMeter()
+			acc := p.Run(cfgSolver(p, SolverDirect), prob, m)
+			if acc != wantAcc {
+				t.Fatalf("%s after %s: direct accuracy %v, fresh solve %v", gen.Name, SolverNames[first], acc, wantAcc)
+			}
+			if got := m.Count(cost.Flop); got != uint64(fw.Flops) {
+				t.Fatalf("%s after %s: direct Run charged %d flops, fresh solve %d", gen.Name, SolverNames[first], got, fw.Flops)
+			}
+		}
+	}
+}
+
+// TestDirectRunSharedExactConcurrent races direct and iterative Runs on
+// one problem (run it under -race): every direct Run must match the fresh
+// solve's accuracy and flops, and the shared exact grid must keep its bits.
+func TestDirectRunSharedExactConcurrent(t *testing.T) {
+	r := rng.New(59)
+	prob := GenPointSources(63, r)
+	var fw pde.Work
+	fresh := pde.DirectPoisson2D(prob.F, &fw)
+	wantAcc := twinProblem(prob).accuracy(fresh)
+
+	p := New()
+	solvers := []int{SolverDirect, SolverSOR, SolverDirect, SolverMultigrid, SolverDirect, SolverJacobi}
+	var wg sync.WaitGroup
+	for _, solver := range solvers {
+		wg.Add(1)
+		go func(solver int) {
+			defer wg.Done()
+			m := cost.NewMeter()
+			acc := p.Run(cfgSolver(p, solver), prob, m)
+			if solver != SolverDirect {
+				return
+			}
+			if acc != wantAcc {
+				t.Errorf("concurrent direct accuracy %v, fresh solve %v", acc, wantAcc)
+			}
+			if got := m.Count(cost.Flop); got != uint64(fw.Flops) {
+				t.Errorf("concurrent direct Run charged %d flops, fresh solve %d", got, fw.Flops)
+			}
+		}(solver)
+	}
+	wg.Wait()
+	exact, _, _ := prob.exactSolution()
+	for i, v := range exact.Data {
+		if math.Float64bits(v) != math.Float64bits(fresh.Data[i]) {
+			t.Fatalf("shared exact grid cell %d changed: %v vs fresh %v", i, v, fresh.Data[i])
+		}
 	}
 }

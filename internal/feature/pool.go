@@ -13,8 +13,14 @@ import "sync"
 // files a slice under the largest class its capacity fully covers, so a
 // pooled slice always satisfies its class's capacity promise; slices
 // smaller than the smallest class are dropped for the garbage collector.
+//
+// The classes hold *[]T holders, not slices: boxing a slice header into
+// sync.Pool's interface would allocate on every Put. Get hands its emptied
+// holder to Put through the boxes pool, so a steady Get/Put cycle
+// allocates nothing.
 type SlicePool[T any] struct {
-	pools    []*sync.Pool
+	pools    []*sync.Pool // *[]T per size class
+	boxes    sync.Pool    // empty *[]T holders
 	minShift int
 }
 
@@ -53,7 +59,11 @@ func (p *SlicePool[T]) Get(capacityHint int) []T {
 		return make([]T, 0, capacityHint)
 	}
 	if v := p.pools[cls].Get(); v != nil {
-		return v.([]T)[:0]
+		box := v.(*[]T)
+		s := (*box)[:0]
+		*box = nil
+		p.boxes.Put(box)
+		return s
 	}
 	return make([]T, 0, 1<<(p.minShift+cls))
 }
@@ -77,7 +87,12 @@ func (p *SlicePool[T]) Put(s []T) {
 	if cls < 0 {
 		return
 	}
-	p.pools[cls].Put(s[:0])
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	p.pools[cls].Put(box)
 }
 
 // Float64 buffers back served inputs: the wire decoder reads each vector

@@ -1,7 +1,9 @@
 package pde
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"inputtune/internal/rng"
@@ -298,6 +300,251 @@ func TestOpChainMatchesPerCycleCoarsening(t *testing.T) {
 		sameBits(t, "OpChain3D coefficients", got.A.Data, cur.A.Data)
 		if got.C != cur.C {
 			t.Fatalf("chain level %d: C %v vs %v", l, got.C, cur.C)
+		}
+	}
+}
+
+// dstSizes covers the all-boundary sizes, every multigrid ladder size the
+// benchmarks use and the largest poisson2d training size.
+var dstSizes = []int{1, 2, 3, 7, 15, 31, 63}
+
+// TestDSTApplyMatchesReference proves the row-order dense transforms are
+// bit-identical to the triple-loop reference ones.
+func TestDSTApplyMatchesReference(t *testing.T) {
+	r := rng.New(31)
+	for _, n := range dstSizes {
+		s := sineBasisFor(n, 1.0/float64(n+1)).s
+		x := randGrid2D(n, r)
+		sameBits(t, "dstApply2D", dstApply2D(s, x.Data, n), referenceDSTApply2D(s, x.Data, n))
+		if n <= 31 {
+			x3 := randGrid3D(n, r)
+			sameBits(t, "dstApply3D", dstApply3D(s, x3.Data, n), referenceDSTApply3D(s, x3.Data, n))
+		}
+	}
+}
+
+// TestDirectSolversMatchReference proves DirectPoisson2D and
+// DirectHelmholtz3D equal, bit for bit, the same spectral solve composed
+// from the reference transforms.
+func TestDirectSolversMatchReference(t *testing.T) {
+	r := rng.New(37)
+	for _, n := range dstSizes {
+		b := sineBasisFor(n, 1.0/float64(n+1))
+
+		f := randGrid2D(n, r)
+		var w Work
+		got := DirectPoisson2D(f, &w)
+		fh := referenceDSTApply2D(b.s, f.Data, n)
+		norm := 4.0 / (float64(n+1) * float64(n+1))
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				fh[i*n+j] *= norm / (b.lam[i] + b.lam[j])
+			}
+		}
+		sameBits(t, "DirectPoisson2D", got.Data, referenceDSTApply2D(b.s, fh, n))
+		sameWork(t, "DirectPoisson2D", w, Work{Flops: 8*n*n*n + 2*n*n})
+
+		if n > 31 {
+			continue
+		}
+		op := randOp3D(n, r)
+		f3 := randGrid3D(n, r)
+		w = Work{}
+		got3 := DirectHelmholtz3D(op, f3, &w)
+		abar := 0.0
+		for _, v := range op.A.Data {
+			abar += v
+		}
+		abar /= float64(len(op.A.Data))
+		fh3 := referenceDSTApply3D(b.s, f3.Data, n)
+		norm3 := math.Pow(2.0/float64(n+1), 3)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				for k := 0; k < n; k++ {
+					fh3[(i*n+j)*n+k] *= norm3 / (abar*(b.lam[i]+b.lam[j]+b.lam[k]) + op.C)
+				}
+			}
+		}
+		sameBits(t, "DirectHelmholtz3D", got3.Data, referenceDSTApply3D(b.s, fh3, n))
+		sameWork(t, "DirectHelmholtz3D", w, Work{Flops: 6*n*n*n*n + 3*n*n*n})
+	}
+}
+
+// degenerateValues are the IEEE-754 edge cases the degenerate-input
+// differential injects into coefficient and grid cells.
+var degenerateValues = []struct {
+	name string
+	v    float64
+}{
+	{"+0", 0},
+	{"-0", math.Copysign(0, -1)},
+	{"+subnormal", math.SmallestNonzeroFloat64},
+	{"-subnormal", -math.SmallestNonzeroFloat64},
+	{"+Inf", math.Inf(1)},
+	{"-Inf", math.Inf(-1)},
+	{"NaN", math.NaN()},
+}
+
+// degenerateCells returns the flat indices the degenerate value is
+// injected at: the corner, the midpoint of an edge through it, the centre
+// and the centre of every face, where exactly one neighbour lies outside
+// the grid (cells coincide on tiny grids).
+func degenerateCells(n, dims int) []int {
+	mid := n / 2
+	at := func(axis, v int) int { // flat index of mid everywhere but axis
+		idx := 0
+		for d := 0; d < dims; d++ {
+			c := mid
+			if d == axis {
+				c = v
+			}
+			idx = idx*n + c
+		}
+		return idx
+	}
+	cells := []int{0, mid, at(-1, 0)}
+	for d := 0; d < dims; d++ {
+		cells = append(cells, at(d, 0), at(d, n-1))
+	}
+	return cells
+}
+
+// checkerboard gives every cell of xs the magnitude it has and the sign
+// (-1)^(i+j[+k]), so each cell's neighbours all carry the opposite sign.
+// Infinite coefficients then meet same-signed flux terms, which keeps an
+// Inf*0 term at an out-of-range face from being masked by Inf - Inf.
+func checkerboard(xs []float64, n int) {
+	for idx := range xs {
+		parity := 0
+		for rest := idx; rest > 0; rest /= n {
+			parity += rest % n
+		}
+		xs[idx] = math.Copysign(xs[idx], float64(1-2*(parity%2)))
+	}
+}
+
+// TestDegenerateKernels2DMatchReference injects ±0, subnormals, ±Inf and
+// NaN into single u and f cells and checks SOR, Jacobi, the residual and a
+// multigrid cycle bit for bit against the reference kernels, including the
+// all-boundary sizes 1 and 2.
+func TestDegenerateKernels2DMatchReference(t *testing.T) {
+	r := rng.New(43)
+	for _, n := range []int{1, 2, 3, 7} {
+		for _, dv := range degenerateValues {
+			for _, target := range []string{"u", "f", "u-checker", "f-checker"} {
+				for _, cell := range degenerateCells(n, 2) {
+					label := fmt.Sprintf("n=%d %s=%s@%d", n, target, dv.name, cell)
+					u, f := randGrid2D(n, r), randGrid2D(n, r)
+					if strings.HasSuffix(target, "-checker") {
+						checkerboard(u.Data, n)
+					}
+					if strings.HasPrefix(target, "u") {
+						u.Data[cell] = dv.v
+					} else {
+						f.Data[cell] = dv.v
+					}
+
+					uRef, uNew := u.Clone(), u.Clone()
+					var wRef, wNew Work
+					for s := 0; s < 2; s++ {
+						referenceSOR2D(uRef, f, 1.3, &wRef)
+						SOR2D(uNew, f, 1.3, &wNew)
+					}
+					sameBits(t, label+" SOR2D", uNew.Data, uRef.Data)
+					sameWork(t, label+" SOR2D", wNew, wRef)
+
+					uRef, uNew = u.Clone(), u.Clone()
+					wRef, wNew = Work{}, Work{}
+					referenceJacobi2D(uRef, f, 0.8, &wRef)
+					Jacobi2D(uNew, f, 0.8, &wNew)
+					sameBits(t, label+" Jacobi2D", uNew.Data, uRef.Data)
+					sameWork(t, label+" Jacobi2D", wNew, wRef)
+
+					rRef, rNew := NewGrid2D(n), NewGrid2D(n)
+					wRef, wNew = Work{}, Work{}
+					referenceResidual2D(u, f, rRef, &wRef)
+					Residual2D(u, f, rNew, &wNew)
+					sameBits(t, label+" Residual2D", rNew.Data, rRef.Data)
+					sameWork(t, label+" Residual2D", wNew, wRef)
+
+					opt := MGOptions2D{Pre: 1, Post: 1, Gamma: 2, Omega: 1.2}
+					uRef, uNew = u.Clone(), u.Clone()
+					wRef, wNew = Work{}, Work{}
+					ReferenceMGCycle2D(uRef, f, opt, &wRef)
+					NewHierarchy2D(n).Cycle(uNew, f, opt, &wNew)
+					sameBits(t, label+" MGCycle2D", uNew.Data, uRef.Data)
+					sameWork(t, label+" MGCycle2D", wNew, wRef)
+				}
+			}
+		}
+	}
+}
+
+// TestDegenerateKernels3DMatchReference is the 3-D table: the degenerate
+// value goes into one coefficient, u or f cell, or into the constant c,
+// and SOR, Jacobi, the residual and a multigrid cycle must match the
+// reference bit for bit. Boundary cells take edgeStencil3D, whose
+// out-of-range faces still form a*0, so Inf and NaN coefficients reach the
+// flux exactly as in the reference.
+func TestDegenerateKernels3DMatchReference(t *testing.T) {
+	r := rng.New(47)
+	for _, n := range []int{1, 2, 3, 7} {
+		for _, dv := range degenerateValues {
+			for _, target := range []string{"a", "c", "u", "f", "a-checker", "u-checker"} {
+				cells := degenerateCells(n, 3)
+				if target == "c" {
+					cells = cells[:1]
+				}
+				for _, cell := range cells {
+					label := fmt.Sprintf("n=%d %s=%s@%d", n, target, dv.name, cell)
+					op := randOp3D(n, r)
+					u, f := randGrid3D(n, r), randGrid3D(n, r)
+					if strings.HasSuffix(target, "-checker") {
+						checkerboard(u.Data, n)
+					}
+					switch strings.TrimSuffix(target, "-checker") {
+					case "a":
+						op.A.Data[cell] = dv.v
+					case "c":
+						op.C = dv.v
+					case "u":
+						u.Data[cell] = dv.v
+					default:
+						f.Data[cell] = dv.v
+					}
+
+					uRef, uNew := u.Clone(), u.Clone()
+					var wRef, wNew Work
+					for s := 0; s < 2; s++ {
+						referenceSOR3D(op, uRef, f, 1.3, &wRef)
+						SOR3D(op, uNew, f, 1.3, &wNew)
+					}
+					sameBits(t, label+" SOR3D", uNew.Data, uRef.Data)
+					sameWork(t, label+" SOR3D", wNew, wRef)
+
+					uRef, uNew = u.Clone(), u.Clone()
+					wRef, wNew = Work{}, Work{}
+					referenceJacobi3D(op, uRef, f, 0.8, &wRef)
+					Jacobi3D(op, uNew, f, 0.8, &wNew)
+					sameBits(t, label+" Jacobi3D", uNew.Data, uRef.Data)
+					sameWork(t, label+" Jacobi3D", wNew, wRef)
+
+					rRef, rNew := NewGrid3D(n), NewGrid3D(n)
+					wRef, wNew = Work{}, Work{}
+					referenceResidual3D(op, u, f, rRef, &wRef)
+					Residual3D(op, u, f, rNew, &wNew)
+					sameBits(t, label+" Residual3D", rNew.Data, rRef.Data)
+					sameWork(t, label+" Residual3D", wNew, wRef)
+
+					opt := MGOptions3D{Pre: 1, Post: 1, Gamma: 2, Omega: 1.2}
+					uRef, uNew = u.Clone(), u.Clone()
+					wRef, wNew = Work{}, Work{}
+					ReferenceMGCycle3D(op, uRef, f, opt, &wRef)
+					NewHierarchy3D(op).Cycle(uNew, f, opt, &wNew)
+					sameBits(t, label+" MGCycle3D", uNew.Data, uRef.Data)
+					sameWork(t, label+" MGCycle3D", wNew, wRef)
+				}
+			}
 		}
 	}
 }

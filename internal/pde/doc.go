@@ -13,15 +13,22 @@
 //     Restrict2DInto/3DInto, Prolong2D/3D) are boundary-split: interior
 //     cells run over raw slices with no bounds logic, boundary cells take
 //     a guarded per-cell path, and non-multigrid grid shapes fall back to
-//     the fully guarded loop.
+//     the fully guarded loop. The 3-D guarded path is edgeStencil3D, a
+//     raw-slice stencil whose out-of-range neighbours contribute a = ac
+//     and v = 0 (a*v still formed, so Inf and NaN behave as in the
+//     reference). The dense transform behind DirectPoisson2D accumulates
+//     a row at a time, each element summing in ascending order from +0.
 //   - The reference kernels (reference.go) are the original At-indexed,
 //     allocate-per-call implementations — the simplest statement of the
-//     numerics, retained as the differential-testing baseline.
+//     numerics, retained as the differential-testing baseline. The
+//     At-indexed stencil Helmholtz3D.apply and the triple-loop dense
+//     transforms referenceDSTApply2D/3D live there and only there.
 //
 // The two layers are bit-identical: the production kernels preserve the
 // reference floating-point expression shapes and operand order exactly,
 // and differential_test.go enforces equality of every grid value (by bit
-// pattern) and every op count on randomized inputs.
+// pattern) and every op count on randomized inputs and on a table of
+// degenerate values (±0, subnormals, ±Inf, NaN).
 //
 // # Multigrid workspace engine
 //

@@ -348,28 +348,33 @@ func DirectPoisson2D(f *Grid2D, w *Work) *Grid2D {
 	return out
 }
 
-// dstApply2D computes S · X · S for the symmetric sine matrix S.
+// dstApply2D computes S · X · S for the symmetric sine matrix S. Both
+// products accumulate a whole output row at a time (row i += coefficient
+// k × row k of the right operand, k ascending), so the inner loop streams
+// contiguous memory; every output element still sums its n terms in
+// ascending k order starting from +0, exactly the dot products of
+// referenceDSTApply2D, so the result is bit-identical.
 func dstApply2D(s [][]float64, x []float64, n int) []float64 {
 	tmp := make([]float64, n*n)
 	// tmp = S X
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			sum := 0.0
-			for k := 0; k < n; k++ {
-				sum += s[i][k] * x[k*n+j]
+		row := tmp[i*n : i*n+n]
+		for k, sik := range s[i][:n] {
+			xk := x[k*n : k*n+n][:len(row)]
+			for j := range row {
+				row[j] += sik * xk[j]
 			}
-			tmp[i*n+j] = sum
 		}
 	}
 	// out = tmp S
 	out := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			sum := 0.0
-			for k := 0; k < n; k++ {
-				sum += tmp[i*n+k] * s[k][j]
+		row := out[i*n : i*n+n]
+		for k, tik := range tmp[i*n : i*n+n] {
+			sk := s[k][:len(row)]
+			for j := range row {
+				row[j] += tik * sk[j]
 			}
-			out[i*n+j] = sum
 		}
 	}
 	return out

@@ -50,35 +50,58 @@ type Helmholtz3D struct {
 	C float64
 }
 
-// faceA returns the face coefficient between node (i,j,k) and its
-// neighbour in the given direction, as the average of the two node values
-// (out-of-range neighbours reuse the interior node's coefficient).
-func (op *Helmholtz3D) faceA(i, j, k, di, dj, dk int) float64 {
-	ac := op.A.At(i, j, k)
-	ni, nj, nk := i+di, j+dj, k+dk
-	n := op.A.N
-	if ni < 0 || nj < 0 || nk < 0 || ni >= n || nj >= n || nk >= n {
-		return ac
-	}
-	return 0.5 * (ac + op.A.At(ni, nj, nk))
-}
-
-// apply computes (L u)(i,j,k) and the operator diagonal through the
-// bounds-checked accessors. It is both the reference stencil and the
-// guarded path the flattened sweeps take on boundary cells, so the two can
-// never disagree where they overlap.
-func (op *Helmholtz3D) apply(u *Grid3D, i, j, k int) (lu, diag float64) {
-	h2 := u.h() * u.h()
+// edgeStencil3D evaluates (L u) and the operator diagonal at cell
+// idx = (i*n+j)*n+k over raw slices, for the boundary cells whose
+// seven-point stencil leaves the grid. It is the reference stencil
+// (Helmholtz3D.apply in reference.go) restated without accessors: the
+// directions run in the reference order +i, -i, +j, -j, +k, -k; an
+// out-of-range neighbour contributes face coefficient a = ac and value
+// v = 0, and a*v is still formed, so Inf and NaN coefficients propagate
+// exactly as they do there. h2 is the caller's hoisted squared spacing.
+func edgeStencil3D(ad, ud []float64, n, i, j, k int, h2, c float64) (lu, diag float64) {
+	n2 := n * n
+	idx := (i*n+j)*n + k
+	ac := ad[idx]
 	var sumA, flux float64
-	dirs := [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
-	uc := u.At(i, j, k)
-	for _, d := range dirs {
-		a := op.faceA(i, j, k, d[0], d[1], d[2])
-		sumA += a
-		flux += a * u.At(i+d[0], j+d[1], k+d[2])
+	a, v := ac, 0.0
+	if i < n-1 {
+		a, v = 0.5*(ac+ad[idx+n2]), ud[idx+n2]
 	}
-	diag = sumA/h2 + op.C
-	lu = (sumA*uc-flux)/h2 + op.C*uc
+	sumA += a
+	flux += a * v
+	a, v = ac, 0.0
+	if i > 0 {
+		a, v = 0.5*(ac+ad[idx-n2]), ud[idx-n2]
+	}
+	sumA += a
+	flux += a * v
+	a, v = ac, 0.0
+	if j < n-1 {
+		a, v = 0.5*(ac+ad[idx+n]), ud[idx+n]
+	}
+	sumA += a
+	flux += a * v
+	a, v = ac, 0.0
+	if j > 0 {
+		a, v = 0.5*(ac+ad[idx-n]), ud[idx-n]
+	}
+	sumA += a
+	flux += a * v
+	a, v = ac, 0.0
+	if k < n-1 {
+		a, v = 0.5*(ac+ad[idx+1]), ud[idx+1]
+	}
+	sumA += a
+	flux += a * v
+	a, v = ac, 0.0
+	if k > 0 {
+		a, v = 0.5*(ac+ad[idx-1]), ud[idx-1]
+	}
+	sumA += a
+	flux += a * v
+	uc := ud[idx]
+	diag = sumA/h2 + c
+	lu = (sumA*uc-flux)/h2 + c*uc
 	return lu, diag
 }
 
@@ -86,15 +109,15 @@ func (op *Helmholtz3D) apply(u *Grid3D, i, j, k int) (lu, diag float64) {
 // innermost k-run of every interior (i, j) pencil evaluates the seven-point
 // flux stencil over raw slices (face coefficients averaged inline, in the
 // reference direction order +i, -i, +j, -j, +k, -k), while boundary cells
-// fall back to op.apply. Expression shapes and accumulation order match
+// go through edgeStencil3D. Expression shapes and accumulation order match
 // the reference kernels exactly, so grids stay bit-identical.
 
-// sorCell3D is the guarded per-cell SOR update.
-func sorCell3D(op *Helmholtz3D, u, f *Grid3D, i, j, k int, omega float64) {
-	lu, diag := op.apply(u, i, j, k)
-	idx := (i*u.N+j)*u.N + k
-	uc := u.Data[idx]
-	u.Data[idx] = uc + omega*(f.Data[idx]-lu)/diag
+// sorCell3D is the per-cell SOR update for boundary cells.
+func sorCell3D(ad, ud, fd []float64, n, i, j, k int, h2, c, omega float64) {
+	lu, diag := edgeStencil3D(ad, ud, n, i, j, k, h2, c)
+	idx := (i*n+j)*n + k
+	uc := ud[idx]
+	ud[idx] = uc + omega*(fd[idx]-lu)/diag
 }
 
 // SOR3D performs one SOR sweep (omega = 1 gives Gauss-Seidel).
@@ -108,11 +131,11 @@ func SOR3D(op *Helmholtz3D, u, f *Grid3D, omega float64, w *Work) {
 		for j := 0; j < n; j++ {
 			if i == 0 || i == n-1 || j == 0 || j == n-1 {
 				for k := 0; k < n; k++ {
-					sorCell3D(op, u, f, i, j, k, omega)
+					sorCell3D(ad, ud, fd, n, i, j, k, h2, cc, omega)
 				}
 				continue
 			}
-			sorCell3D(op, u, f, i, j, 0, omega)
+			sorCell3D(ad, ud, fd, n, i, j, 0, h2, cc, omega)
 			base := (i*n + j) * n
 			for idx := base + 1; idx < base+n-1; idx++ {
 				ac := ad[idx]
@@ -141,18 +164,18 @@ func SOR3D(op *Helmholtz3D, u, f *Grid3D, omega float64, w *Work) {
 				lu := (sumA*uc-flux)/h2 + cc*uc
 				ud[idx] = uc + omega*(fd[idx]-lu)/diag
 			}
-			sorCell3D(op, u, f, i, j, n-1, omega)
+			sorCell3D(ad, ud, fd, n, i, j, n-1, h2, cc, omega)
 		}
 	}
 	w.Flops += 17 * n * n * n
 }
 
-// jacobiCell3D is the guarded per-cell Jacobi update.
-func jacobiCell3D(op *Helmholtz3D, u, f *Grid3D, next []float64, i, j, k int, omega float64) {
-	lu, diag := op.apply(u, i, j, k)
-	idx := (i*u.N+j)*u.N + k
-	uc := u.Data[idx]
-	next[idx] = uc + omega*(f.Data[idx]-lu)/diag
+// jacobiCell3D is the per-cell Jacobi update for boundary cells.
+func jacobiCell3D(ad, ud, fd, next []float64, n, i, j, k int, h2, c, omega float64) {
+	lu, diag := edgeStencil3D(ad, ud, n, i, j, k, h2, c)
+	idx := (i*n+j)*n + k
+	uc := ud[idx]
+	next[idx] = uc + omega*(fd[idx]-lu)/diag
 }
 
 // Jacobi3D performs one weighted Jacobi sweep.
@@ -171,11 +194,11 @@ func jacobi3D(op *Helmholtz3D, u, f *Grid3D, omega float64, next []float64, w *W
 		for j := 0; j < n; j++ {
 			if i == 0 || i == n-1 || j == 0 || j == n-1 {
 				for k := 0; k < n; k++ {
-					jacobiCell3D(op, u, f, next, i, j, k, omega)
+					jacobiCell3D(ad, ud, fd, next, n, i, j, k, h2, cc, omega)
 				}
 				continue
 			}
-			jacobiCell3D(op, u, f, next, i, j, 0, omega)
+			jacobiCell3D(ad, ud, fd, next, n, i, j, 0, h2, cc, omega)
 			base := (i*n + j) * n
 			for idx := base + 1; idx < base+n-1; idx++ {
 				ac := ad[idx]
@@ -204,18 +227,18 @@ func jacobi3D(op *Helmholtz3D, u, f *Grid3D, omega float64, next []float64, w *W
 				lu := (sumA*uc-flux)/h2 + cc*uc
 				next[idx] = uc + omega*(fd[idx]-lu)/diag
 			}
-			jacobiCell3D(op, u, f, next, i, j, n-1, omega)
+			jacobiCell3D(ad, ud, fd, next, n, i, j, n-1, h2, cc, omega)
 		}
 	}
 	copy(ud, next[:n*n*n])
 	w.Flops += 17 * n * n * n
 }
 
-// residualCell3D is the guarded per-cell residual.
-func residualCell3D(op *Helmholtz3D, u, f, r *Grid3D, i, j, k int) {
-	lu, _ := op.apply(u, i, j, k)
-	idx := (i*u.N+j)*u.N + k
-	r.Data[idx] = f.Data[idx] - lu
+// residualCell3D is the per-cell residual for boundary cells.
+func residualCell3D(ad, ud, fd, rd []float64, n, i, j, k int, h2, c float64) {
+	lu, _ := edgeStencil3D(ad, ud, n, i, j, k, h2, c)
+	idx := (i*n+j)*n + k
+	rd[idx] = fd[idx] - lu
 }
 
 // Residual3D computes r = f - L u.
@@ -229,11 +252,11 @@ func Residual3D(op *Helmholtz3D, u, f, r *Grid3D, w *Work) {
 		for j := 0; j < n; j++ {
 			if i == 0 || i == n-1 || j == 0 || j == n-1 {
 				for k := 0; k < n; k++ {
-					residualCell3D(op, u, f, r, i, j, k)
+					residualCell3D(ad, ud, fd, rd, n, i, j, k, h2, cc)
 				}
 				continue
 			}
-			residualCell3D(op, u, f, r, i, j, 0)
+			residualCell3D(ad, ud, fd, rd, n, i, j, 0, h2, cc)
 			base := (i*n + j) * n
 			for idx := base + 1; idx < base+n-1; idx++ {
 				ac := ad[idx]
@@ -261,7 +284,7 @@ func Residual3D(op *Helmholtz3D, u, f, r *Grid3D, w *Work) {
 				lu := (sumA*uc-flux)/h2 + cc*uc
 				rd[idx] = fd[idx] - lu
 			}
-			residualCell3D(op, u, f, r, i, j, n-1)
+			residualCell3D(ad, ud, fd, rd, n, i, j, n-1, h2, cc)
 		}
 	}
 	w.Flops += 15 * n * n * n

@@ -114,7 +114,68 @@ func ReferenceMGCycle2D(u, f *Grid2D, opt MGOptions2D, w *Work) {
 	}
 }
 
+// referenceDSTApply2D computes S · X · S for the symmetric sine matrix S
+// as two triple loops of ascending dot products — the original dense
+// transform behind DirectPoisson2D.
+func referenceDSTApply2D(s [][]float64, x []float64, n int) []float64 {
+	tmp := make([]float64, n*n)
+	// tmp = S X
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			sum := 0.0
+			for k := 0; k < n; k++ {
+				sum += s[i][k] * x[k*n+j]
+			}
+			tmp[i*n+j] = sum
+		}
+	}
+	// out = tmp S
+	out := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			sum := 0.0
+			for k := 0; k < n; k++ {
+				sum += tmp[i*n+k] * s[k][j]
+			}
+			out[i*n+j] = sum
+		}
+	}
+	return out
+}
+
 // --- 3D -------------------------------------------------------------------
+
+// faceA returns the face coefficient between node (i,j,k) and its
+// neighbour in the given direction, as the average of the two node values
+// (out-of-range neighbours reuse the interior node's coefficient).
+func (op *Helmholtz3D) faceA(i, j, k, di, dj, dk int) float64 {
+	ac := op.A.At(i, j, k)
+	ni, nj, nk := i+di, j+dj, k+dk
+	n := op.A.N
+	if ni < 0 || nj < 0 || nk < 0 || ni >= n || nj >= n || nk >= n {
+		return ac
+	}
+	return 0.5 * (ac + op.A.At(ni, nj, nk))
+}
+
+// apply computes (L u)(i,j,k) and the operator diagonal through the
+// bounds-checked accessors: the reference seven-point stencil. The
+// production sweeps evaluate it over raw slices (edgeStencil3D on boundary
+// cells, inline on interior pencils) and must match it bit for bit.
+func (op *Helmholtz3D) apply(u *Grid3D, i, j, k int) (lu, diag float64) {
+	h2 := u.h() * u.h()
+	var sumA, flux float64
+	dirs := [6][3]int{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
+	uc := u.At(i, j, k)
+	for _, d := range dirs {
+		a := op.faceA(i, j, k, d[0], d[1], d[2])
+		sumA += a
+		flux += a * u.At(i+d[0], j+d[1], k+d[2])
+	}
+	diag = sumA/h2 + op.C
+	lu = (sumA*uc-flux)/h2 + op.C*uc
+	return lu, diag
+}
 
 // referenceResidual3D computes r = f - L u.
 func referenceResidual3D(op *Helmholtz3D, u, f, r *Grid3D, w *Work) {
@@ -236,4 +297,51 @@ func ReferenceMGCycle3D(op *Helmholtz3D, u, f *Grid3D, opt MGOptions3D, w *Work)
 	for s := 0; s < opt.Post; s++ {
 		referenceSOR3D(op, u, f, opt.Omega, w)
 	}
+}
+
+// referenceDSTApply3D applies the sine matrix along all three axes as
+// triple loops of ascending dot products — the dense transform behind
+// DirectHelmholtz3D.
+func referenceDSTApply3D(s [][]float64, x []float64, n int) []float64 {
+	cur := append([]float64(nil), x...)
+	next := make([]float64, n*n*n)
+	// Axis 0.
+	for j := 0; j < n; j++ {
+		for k := 0; k < n; k++ {
+			for i := 0; i < n; i++ {
+				sum := 0.0
+				for t := 0; t < n; t++ {
+					sum += s[i][t] * cur[(t*n+j)*n+k]
+				}
+				next[(i*n+j)*n+k] = sum
+			}
+		}
+	}
+	cur, next = next, cur
+	// Axis 1.
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			for j := 0; j < n; j++ {
+				sum := 0.0
+				for t := 0; t < n; t++ {
+					sum += s[j][t] * cur[(i*n+t)*n+k]
+				}
+				next[(i*n+j)*n+k] = sum
+			}
+		}
+	}
+	cur, next = next, cur
+	// Axis 2.
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			for k := 0; k < n; k++ {
+				sum := 0.0
+				for t := 0; t < n; t++ {
+					sum += s[k][t] * cur[(i*n+j)*n+t]
+				}
+				next[(i*n+j)*n+k] = sum
+			}
+		}
+	}
+	return next
 }

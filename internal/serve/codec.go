@@ -97,14 +97,16 @@ func (c *Codec) Decode(wire Wire, r io.Reader) (core.Input, error) {
 		}
 		return c.DecodeJSON(raw)
 	case WireBinary:
-		name, err := readBinaryHeader(r)
+		fr := getFrameReader(r)
+		defer fr.release()
+		name, err := fr.readHeader()
 		if err != nil {
 			return nil, err
 		}
-		if name != c.Name {
+		if string(name) != c.Name {
 			return nil, fmt.Errorf("serve: binary frame is for benchmark %q, codec serves %q", name, c.Name)
 		}
-		return c.decodeBinaryBody(r)
+		return c.decodeBinaryBody(fr)
 	default:
 		return nil, fmt.Errorf("serve: unknown wire format %d", int(wire))
 	}
@@ -120,8 +122,8 @@ func (c *Codec) DecodeJSON(raw []byte) (core.Input, error) {
 }
 
 // decodeBinaryBody parses a binary frame whose header has been consumed.
-func (c *Codec) decodeBinaryBody(r io.Reader) (core.Input, error) {
-	p, err := decodeBinaryPayload(r, c.sch)
+func (c *Codec) decodeBinaryBody(fr *frameReader) (core.Input, error) {
+	p, err := decodeBinaryPayload(fr, c.sch)
 	if err != nil {
 		return nil, err
 	}
@@ -129,21 +131,22 @@ func (c *Codec) decodeBinaryBody(r io.Reader) (core.Input, error) {
 }
 
 // buildInput assembles the validated input, returning payload buffers to
-// the pool on rejection.
+// the pool on rejection, and pools the emptied payload carrier.
 func (c *Codec) buildInput(p *payload) (core.Input, error) {
 	in, err := c.sch.build(p)
 	if err != nil {
 		p.release()
-		return nil, err
 	}
-	return in, nil
+	putPayload(p)
+	return in, err
 }
 
 // Encode renders an input onto w in the chosen wire format: the JSON input
 // object for WireJSON, a full self-describing frame for WireBinary.
 func (c *Codec) Encode(wire Wire, w io.Writer, in core.Input) error {
-	p, err := c.sch.split(in)
-	if err != nil {
+	p := getPayload()
+	defer putPayload(p)
+	if err := c.sch.split(in, p); err != nil {
 		return err
 	}
 	switch wire {
@@ -183,11 +186,11 @@ func (c *Codec) Release(in core.Input) {
 	if in == nil {
 		return
 	}
-	p, err := c.sch.split(in)
-	if err != nil {
-		return
+	p := getPayload()
+	if c.sch.split(in, p) == nil {
+		p.release()
 	}
-	p.release()
+	putPayload(p)
 }
 
 // DecodeBinaryRequest reads one full binary classify request — the frame
@@ -205,32 +208,34 @@ func DecodeBinaryRequest(r io.Reader) (*Codec, core.Input, error) {
 // extension is validated strictly: an ITX1 magic followed by a truncated
 // body, zero ID, or unknown flags is an error, never silently skipped.
 func DecodeBinaryRequestContext(r io.Reader) (*Codec, core.Input, uint64, error) {
-	magic, err := readMagic(r)
+	fr := getFrameReader(r)
+	defer fr.release()
+	magic, err := fr.readMagic()
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	var traceID uint64
 	if magic == traceMagic {
-		traceID, err = readTraceContextBody(r)
+		traceID, err = fr.readTraceContextBody()
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		if magic, err = readMagic(r); err != nil {
+		if magic, err = fr.readMagic(); err != nil {
 			return nil, nil, 0, err
 		}
 	}
 	if magic != wireMagic {
-		return nil, nil, 0, fmt.Errorf("serve: bad binary magic %q", magic[:])
+		return nil, nil, 0, fmt.Errorf("serve: bad binary magic %q", string(magic[:]))
 	}
-	name, err := readBinaryName(r)
+	name, err := fr.readName()
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	c, err := LookupCodec(name)
-	if err != nil {
-		return nil, nil, 0, err
+	c, ok := codecByName[string(name)]
+	if !ok {
+		return nil, nil, 0, fmt.Errorf("serve: no codec for benchmark %q", name)
 	}
-	in, err := c.decodeBinaryBody(r)
+	in, err := c.decodeBinaryBody(fr)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -259,12 +264,13 @@ var builtinCodecs = []*Codec{
 				}
 				return &sortbench.List{Data: p.vecs[0]}, nil
 			},
-			split: func(in core.Input) (*payload, error) {
+			split: func(in core.Input, p *payload) error {
 				l, ok := in.(*sortbench.List)
 				if !ok {
-					return nil, fmt.Errorf("sort codec: input is %T", in)
+					return fmt.Errorf("sort codec: input is %T", in)
 				}
-				return &payload{vecs: [][]float64{l.Data}}, nil
+				p.vecs = append(p.vecs, l.Data)
+				return nil
 			},
 		}).finalize(),
 	},
@@ -280,12 +286,13 @@ var builtinCodecs = []*Codec{
 				}
 				return &clustering.Points{X: x, Y: y}, nil
 			},
-			split: func(in core.Input) (*payload, error) {
+			split: func(in core.Input, p *payload) error {
 				pt, ok := in.(*clustering.Points)
 				if !ok {
-					return nil, fmt.Errorf("clustering codec: input is %T", in)
+					return fmt.Errorf("clustering codec: input is %T", in)
 				}
-				return &payload{vecs: [][]float64{pt.X, pt.Y}}, nil
+				p.vecs = append(p.vecs, pt.X, pt.Y)
+				return nil
 			},
 		}).finalize(),
 	},
@@ -300,12 +307,13 @@ var builtinCodecs = []*Codec{
 				}
 				return &binpack.Items{Sizes: p.vecs[0]}, nil
 			},
-			split: func(in core.Input) (*payload, error) {
+			split: func(in core.Input, p *payload) error {
 				it, ok := in.(*binpack.Items)
 				if !ok {
-					return nil, fmt.Errorf("binpacking codec: input is %T", in)
+					return fmt.Errorf("binpacking codec: input is %T", in)
 				}
-				return &payload{vecs: [][]float64{it.Sizes}}, nil
+				p.vecs = append(p.vecs, it.Sizes)
+				return nil
 			},
 		}).finalize(),
 	},
@@ -323,15 +331,14 @@ var builtinCodecs = []*Codec{
 				}
 				return &svd.MatrixInput{A: &linalg.Matrix{Rows: int(rows), Cols: int(cols), Data: p.vecs[0]}}, nil
 			},
-			split: func(in core.Input) (*payload, error) {
+			split: func(in core.Input, p *payload) error {
 				m, ok := in.(*svd.MatrixInput)
 				if !ok {
-					return nil, fmt.Errorf("svd codec: input is %T", in)
+					return fmt.Errorf("svd codec: input is %T", in)
 				}
-				return &payload{
-					ints: []int64{int64(m.A.Rows), int64(m.A.Cols)},
-					vecs: [][]float64{m.A.Data},
-				}, nil
+				p.ints = append(p.ints, int64(m.A.Rows), int64(m.A.Cols))
+				p.vecs = append(p.vecs, m.A.Data)
+				return nil
 			},
 		}).finalize(),
 	},
@@ -348,12 +355,14 @@ var builtinCodecs = []*Codec{
 				}
 				return &poisson2d.Problem{N: int(n), F: &pde.Grid2D{N: int(n), Data: p.vecs[0]}}, nil
 			},
-			split: func(in core.Input) (*payload, error) {
+			split: func(in core.Input, p *payload) error {
 				pr, ok := in.(*poisson2d.Problem)
 				if !ok {
-					return nil, fmt.Errorf("poisson2d codec: input is %T", in)
+					return fmt.Errorf("poisson2d codec: input is %T", in)
 				}
-				return &payload{ints: []int64{int64(pr.N)}, vecs: [][]float64{pr.F.Data}}, nil
+				p.ints = append(p.ints, int64(pr.N))
+				p.vecs = append(p.vecs, pr.F.Data)
+				return nil
 			},
 		}).finalize(),
 	},
@@ -379,16 +388,15 @@ var builtinCodecs = []*Codec{
 					F:  &pde.Grid3D{N: int(n), Data: p.vecs[0]},
 				}, nil
 			},
-			split: func(in core.Input) (*payload, error) {
+			split: func(in core.Input, p *payload) error {
 				pr, ok := in.(*helmholtz3d.Problem)
 				if !ok {
-					return nil, fmt.Errorf("helmholtz3d codec: input is %T", in)
+					return fmt.Errorf("helmholtz3d codec: input is %T", in)
 				}
-				return &payload{
-					ints:   []int64{int64(pr.N)},
-					floats: []float64{pr.Op.C},
-					vecs:   [][]float64{pr.F.Data, pr.Op.A.Data},
-				}, nil
+				p.ints = append(p.ints, int64(pr.N))
+				p.floats = append(p.floats, pr.Op.C)
+				p.vecs = append(p.vecs, pr.F.Data, pr.Op.A.Data)
+				return nil
 			},
 		}).finalize(),
 	},

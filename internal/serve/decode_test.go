@@ -54,7 +54,7 @@ func decodeVecs(t *testing.T, body []byte, fast bool) [][]float64 {
 	saved := littleEndianHost
 	littleEndianHost = littleEndianHost && fast
 	defer func() { littleEndianHost = saved }()
-	p, err := decodeBinaryPayload(iotest.HalfReader(bytes.NewReader(body)), vecSchema)
+	p, err := decodeBinaryPayload(&frameReader{r: iotest.HalfReader(bytes.NewReader(body))}, vecSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestVectorDecodePathsBitIdentical(t *testing.T) {
 // TestVectorDecodeEmptyVector pins that an empty vector decodes to a
 // non-nil, zero-length slice (JSON re-encodes it as [], not null).
 func TestVectorDecodeEmptyVector(t *testing.T) {
-	p, err := decodeBinaryPayload(bytes.NewReader(vecBody(nil, []float64{2})), vecSchema)
+	p, err := decodeBinaryPayload(&frameReader{r: bytes.NewReader(vecBody(nil, []float64{2}))}, vecSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestVectorDecodeLyingHeader(t *testing.T) {
 	}
 	var err error
 	alloc := totalAlloc(func() {
-		_, err = decodeBinaryPayload(bytes.NewReader(body), vecSchema)
+		_, err = decodeBinaryPayload(&frameReader{r: bytes.NewReader(body)}, vecSchema)
 	})
 	if err == nil {
 		t.Fatal("a frame shorter than its declared vector decoded")
@@ -180,7 +180,7 @@ func TestVectorDecodeTruncationReleasesBuffer(t *testing.T) {
 	const reps = 200
 	alloc := totalAlloc(func() {
 		for i := 0; i < reps; i++ {
-			if _, err := decodeBinaryPayload(bytes.NewReader(body), vecSchema); err == nil {
+			if _, err := decodeBinaryPayload(&frameReader{r: bytes.NewReader(body)}, vecSchema); err == nil {
 				t.Fatal("truncated frame decoded")
 			}
 		}
@@ -224,14 +224,19 @@ func benchFrames(tb testing.TB) []struct {
 	return out
 }
 
-// decodeAllocsCeiling is the allocations per DecodeBinaryRequest call,
-// pool warm, for each benchFrames frame: header words, the name, the
-// payload and its slices, the input value and Release's payload view.
-// None scales with the frame: vector backings come from the pool.
-var decodeAllocsCeiling = map[string]float64{
-	"sort-2k":        12,
-	"poisson2d-63":   15,
-	"helmholtz3d-15": 21,
+// decodeAllocs pins DecodeBinaryRequest's allocations per call, pool
+// warm, for each benchFrames frame. The ceiling is the decoded input's own
+// structs (the list; the problem and its grid; the problem, operator and
+// two grids): vector backings, the frame reader's scratch and the payload
+// carrier all come from pools. poolPuts counts the sync.Pool Puts one
+// decode-and-release makes (frame reader, two payload carriers, and per
+// vector a slice holder and the buffer); under the race detector each may
+// be dropped, costing at most one allocation later, so the pin loosens by
+// that many there.
+var decodeAllocs = map[string]struct{ ceiling, poolPuts float64 }{
+	"sort-2k":        {1, 5},
+	"poisson2d-63":   {2, 5},
+	"helmholtz3d-15": {4, 7},
 }
 
 // TestDecodeBinaryRequestAllocs pins DecodeBinaryRequest's allocations
@@ -249,8 +254,13 @@ func TestDecodeBinaryRequestAllocs(t *testing.T) {
 		}
 		decode()
 		got := testing.AllocsPerRun(200, decode)
-		if got > decodeAllocsCeiling[f.name] {
-			t.Errorf("%s: %v allocations per decode, ceiling %v", f.name, got, decodeAllocsCeiling[f.name])
+		pin := decodeAllocs[f.name]
+		ceiling := pin.ceiling
+		if raceEnabled {
+			ceiling += pin.poolPuts
+		}
+		if got > ceiling {
+			t.Errorf("%s: %v allocations per decode, ceiling %v", f.name, got, ceiling)
 		}
 	}
 }

@@ -2,11 +2,35 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"inputtune/internal/obs"
 )
+
+// meanAllocs is testing.AllocsPerRun without its truncation to a whole
+// number: the mean heap allocations per call of f over runs calls, after
+// one warm-up call. The tracing pins compare two such means over 5000
+// runs and fail when they differ by half an allocation or more, so one
+// allocation the hooks added per request fails them. Under the race
+// detector sync.Pool drops a quarter of its Puts at random and each drop
+// costs an allocation later; that noise moves both means by a fraction
+// (in 30 race runs of each pin the two means never differed by more than
+// 0.2), while comparing truncated means flips whenever the noise pushes
+// one of them across a whole number.
+func meanAllocs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
 
 // TestTracingDisabledAddsNoAllocations pins the acceptance bar for the
 // tracing hooks: a service built with a tracer whose sampling is disabled
@@ -28,7 +52,7 @@ func TestTracingDisabledAddsNoAllocations(t *testing.T) {
 		if _, err := svc.ClassifyBinary(r); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(200, func() {
+		return meanAllocs(5000, func() {
 			r.Reset(frame.Bytes())
 			if _, err := svc.ClassifyBinary(r); err != nil {
 				t.Fatal(err)
@@ -38,7 +62,7 @@ func TestTracingDisabledAddsNoAllocations(t *testing.T) {
 
 	bare := measure(NewService(reg, Options{}))
 	disabled := measure(NewService(reg, Options{Tracer: obs.New(obs.Options{SampleEvery: 0})}))
-	if disabled != bare {
+	if math.Abs(disabled-bare) >= 0.5 {
 		t.Fatalf("disabled-sampling tracer changed allocations per request: %v with hooks vs %v without", disabled, bare)
 	}
 }
@@ -128,12 +152,12 @@ func TestTracingDisabledHandlerAllocsIdentical(t *testing.T) {
 			}
 		}
 		do() // warm-up
-		return testing.AllocsPerRun(200, do)
+		return meanAllocs(5000, do)
 	}
 
 	bare := measure(NewService(reg, Options{}))
 	disabled := measure(NewService(reg, Options{Tracer: obs.New(obs.Options{SampleEvery: 0})}))
-	if disabled != bare {
+	if math.Abs(disabled-bare) >= 0.5 {
 		t.Fatalf("disabled-sampling tracer changed handler allocations per request: %v with hooks vs %v without", disabled, bare)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Trace-context frame extension: a fixed-size envelope a traced sender
@@ -78,9 +77,9 @@ func PeelTraceContext(buf []byte) (id uint64, rest []byte, ok bool, err error) {
 
 // readTraceContextBody consumes the 9 extension bytes after an already-
 // read ITX1 magic from a stream.
-func readTraceContextBody(r io.Reader) (uint64, error) {
-	var body [TraceContextLen - 4]byte
-	if _, err := io.ReadFull(r, body[:]); err != nil {
+func (fr *frameReader) readTraceContextBody() (uint64, error) {
+	body, err := fr.read(TraceContextLen - 4)
+	if err != nil {
 		return 0, fmt.Errorf("serve: trace context: %w", err)
 	}
 	id := binary.LittleEndian.Uint64(body[:8])

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"sync"
 	"unsafe"
 
 	"inputtune/internal/core"
@@ -110,13 +111,11 @@ type payload struct {
 
 // release returns the payload's vector backings to the shared buffer pool.
 func (p *payload) release() {
-	if p == nil {
-		return
-	}
-	for _, v := range p.vecs {
+	for i, v := range p.vecs {
 		feature.PutBuffer(v)
+		p.vecs[i] = nil
 	}
-	p.vecs = nil
+	p.vecs = p.vecs[:0]
 }
 
 // schema describes one benchmark's wire content: named scalar and vector
@@ -131,9 +130,9 @@ type schema struct {
 	// build validates a payload and assembles the input, taking ownership
 	// of the vector backings.
 	build func(p *payload) (core.Input, error)
-	// split is build's inverse: it exposes an input's wire content. The
-	// returned payload aliases the input's slices (no copies).
-	split func(in core.Input) (*payload, error)
+	// split is build's inverse: it appends an input's wire content to the
+	// empty payload p, aliasing the input's slices (no copies).
+	split func(in core.Input, p *payload) error
 
 	// jsonT is the reflect-built struct type whose json tags reproduce the
 	// benchmark's wire object; computed once by finalize.
@@ -177,7 +176,7 @@ func (sch *schema) decodeJSON(raw []byte) (*payload, error) {
 		return nil, err
 	}
 	v := pv.Elem()
-	p := &payload{}
+	p := getPayload()
 	i := 0
 	for range sch.intFields {
 		p.ints = append(p.ints, v.Field(i).Int())
@@ -243,89 +242,145 @@ func (sch *schema) appendBinary(dst []byte, name string, p *payload) ([]byte, er
 	return dst, nil
 }
 
-// readMagic consumes a 4-byte magic word (ITW1 or the ITX1 trace
-// extension) without judging it; callers dispatch on the value.
-func readMagic(r io.Reader) ([4]byte, error) {
-	var m [4]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return m, fmt.Errorf("serve: binary header: %w", err)
-	}
-	return m, nil
+// frameReader reads one binary frame. Its fixed-size fields (magic,
+// name, scalar words, trace-context body) land in the reader's own
+// scratch: a buffer handed to io.Reader escapes, so scratch on each
+// function's stack would cost a heap allocation per field. Frame readers
+// are pooled, which makes the header and scalar reads allocation-free.
+type frameReader struct {
+	r       io.Reader
+	scratch [maxWireName]byte
 }
 
-// readBinaryName consumes the name-length byte and benchmark name that
-// follow a validated ITW1 magic.
-func readBinaryName(r io.Reader) (string, error) {
-	var lb [1]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
-		return "", fmt.Errorf("serve: binary header: %w", err)
+var frameReaderPool = sync.Pool{New: func() any { return new(frameReader) }}
+
+// getFrameReader checks a frame reader over r out of the pool.
+func getFrameReader(r io.Reader) *frameReader {
+	fr := frameReaderPool.Get().(*frameReader)
+	fr.r = r
+	return fr
+}
+
+// release returns the frame reader to the pool; bytes it returned must not
+// be used afterwards.
+func (fr *frameReader) release() {
+	fr.r = nil
+	frameReaderPool.Put(fr)
+}
+
+// read consumes exactly n (≤ maxWireName) bytes into the scratch and
+// returns them; they stay valid until the next read.
+func (fr *frameReader) read(n int) ([]byte, error) {
+	b := fr.scratch[:n]
+	_, err := io.ReadFull(fr.r, b)
+	return b, err
+}
+
+// readU64 consumes one little-endian 8-byte word.
+func (fr *frameReader) readU64() (uint64, error) {
+	b, err := fr.read(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// readMagic consumes a 4-byte magic word (ITW1 or the ITX1 trace
+// extension) without judging it; callers dispatch on the value.
+func (fr *frameReader) readMagic() ([4]byte, error) {
+	b, err := fr.read(4)
+	if err != nil {
+		return [4]byte{}, fmt.Errorf("serve: binary header: %w", err)
+	}
+	return [4]byte(b), nil
+}
+
+// readName consumes the name-length byte and benchmark name that follow a
+// validated ITW1 magic. The returned bytes alias the scratch: compare or
+// look them up (string(name) in a map index or comparison does not
+// allocate) before the next read.
+func (fr *frameReader) readName() ([]byte, error) {
+	lb, err := fr.read(1)
+	if err != nil {
+		return nil, fmt.Errorf("serve: binary header: %w", err)
 	}
 	n := int(lb[0])
 	if n == 0 || n > maxWireName {
-		return "", fmt.Errorf("serve: binary name length %d out of range", n)
+		return nil, fmt.Errorf("serve: binary name length %d out of range", n)
 	}
-	name := make([]byte, n)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return "", fmt.Errorf("serve: binary name: %w", err)
+	name, err := fr.read(n)
+	if err != nil {
+		return nil, fmt.Errorf("serve: binary name: %w", err)
 	}
-	return string(name), nil
+	return name, nil
 }
 
-// readBinaryHeader consumes the magic and benchmark name.
-func readBinaryHeader(r io.Reader) (string, error) {
-	m, err := readMagic(r)
+// readHeader consumes the magic and benchmark name.
+func (fr *frameReader) readHeader() ([]byte, error) {
+	m, err := fr.readMagic()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if m != wireMagic {
-		return "", fmt.Errorf("serve: bad binary magic %q", m[:])
+		return nil, fmt.Errorf("serve: bad binary magic %q", string(m[:]))
 	}
-	return readBinaryName(r)
+	return fr.readName()
 }
 
-// decodeBinaryPayload streams the schema's fields from r. Each vector's
-// bytes are read straight into its pooled float64 buffer, so a large input
-// is materialized exactly once — as the slice the feature extractors will
-// read.
-func decodeBinaryPayload(r io.Reader, sch *schema) (*payload, error) {
-	var word [8]byte
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, word[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(word[:]), nil
-	}
-	p := &payload{}
+// payloadPool recycles payload carriers. A payload only ferries slices
+// between the wire and an input (build takes the vector backings, split
+// lends them), so once that hand-off is done the carrier and its small
+// field slices are reused rather than allocated per request.
+var payloadPool = sync.Pool{New: func() any { return new(payload) }}
+
+// getPayload returns an empty pooled payload.
+func getPayload() *payload { return payloadPool.Get().(*payload) }
+
+// putPayload empties p without releasing its vector backings (they belong
+// to an input now, or were only lent by split) and pools it.
+func putPayload(p *payload) {
+	clear(p.vecs)
+	p.ints, p.floats, p.vecs = p.ints[:0], p.floats[:0], p.vecs[:0]
+	payloadPool.Put(p)
+}
+
+// decodeBinaryPayload streams the schema's fields from fr into a pooled
+// payload. Each vector's bytes are read straight into its pooled float64
+// buffer, so a large input is materialized exactly once — as the slice
+// the feature extractors will read.
+func decodeBinaryPayload(fr *frameReader, sch *schema) (*payload, error) {
+	p := getPayload()
 	fail := func(field string, err error) (*payload, error) {
 		p.release()
+		putPayload(p)
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("truncated frame: %w", err)
 		}
 		return nil, fmt.Errorf("serve: binary field %q: %w", field, err)
 	}
 	for _, name := range sch.intFields {
-		u, err := readU64()
+		u, err := fr.readU64()
 		if err != nil {
 			return fail(name, err)
 		}
 		p.ints = append(p.ints, int64(u))
 	}
 	for _, name := range sch.floatFields {
-		u, err := readU64()
+		u, err := fr.readU64()
 		if err != nil {
 			return fail(name, err)
 		}
 		p.floats = append(p.floats, math.Float64frombits(u))
 	}
 	for _, name := range sch.vecFields {
-		count, err := readU64()
+		count, err := fr.readU64()
 		if err != nil {
 			return fail(name, err)
 		}
 		if count > maxVecElems {
 			return fail(name, fmt.Errorf("vector of %d elements exceeds the request limit", count))
 		}
-		vec, err := readVector(r, int(count))
+		vec, err := readVector(fr.r, int(count))
 		if err != nil {
 			return fail(name, err)
 		}
@@ -333,7 +388,7 @@ func decodeBinaryPayload(r io.Reader, sch *schema) (*payload, error) {
 	}
 	// A frame carries exactly its schema's fields: trailing bytes mean a
 	// client/server schema mismatch, which must fail loudly, not silently.
-	if _, err := io.ReadFull(r, word[:1]); err != io.EOF {
+	if _, err := fr.read(1); err != io.EOF {
 		return fail("frame end", fmt.Errorf("trailing bytes after the last field"))
 	}
 	return p, nil
