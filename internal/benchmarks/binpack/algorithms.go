@@ -100,75 +100,72 @@ func (ms meteredSlice) Swap(i, j int) {
 	ms.s[i], ms.s[j] = ms.s[j], ms.s[i]
 }
 
-// nextFit keeps a single open bin.
+// nextFit keeps a single open bin. Its charges depend only on the item
+// and bin counts, so they are made once at the end.
 func nextFit(items []float64, meter *cost.Meter) []float64 {
 	var bins []float64
 	cur := -1
 	for _, it := range items {
-		meter.Charge1(cost.Compare)
 		if cur < 0 || bins[cur]+it > 1 {
 			bins = append(bins, 0)
 			cur = len(bins) - 1
-			meter.Charge1(cost.Alloc)
 		}
 		bins[cur] += it
-		meter.Charge1(cost.Move)
 	}
+	meter.Charge(cost.Compare, len(items))
+	meter.Charge(cost.Alloc, len(bins))
+	meter.Charge(cost.Move, len(items))
 	return bins
 }
 
 // picker chooses a bin index for an item among bins where it fits, or -1 to
-// open a new bin. Implementations charge one comparison per bin examined.
-type picker func(bins []float64, item float64, meter *cost.Meter) int
+// open a new bin. It also returns how many bins it examined, one
+// comparison each, which its caller charges.
+type picker func(bins []float64, item float64) (idx, examined int)
 
-func pickFirst(bins []float64, item float64, meter *cost.Meter) int {
+func pickFirst(bins []float64, item float64) (int, int) {
 	for i, b := range bins {
-		meter.Charge1(cost.Compare)
 		if b+item <= 1 {
-			return i
+			return i, i + 1
 		}
 	}
-	return -1
+	return -1, len(bins)
 }
 
-func pickLast(bins []float64, item float64, meter *cost.Meter) int {
+func pickLast(bins []float64, item float64) (int, int) {
 	for i := len(bins) - 1; i >= 0; i-- {
-		meter.Charge1(cost.Compare)
 		if bins[i]+item <= 1 {
-			return i
+			return i, len(bins) - i
 		}
 	}
-	return -1
+	return -1, len(bins)
 }
 
-func pickBest(bins []float64, item float64, meter *cost.Meter) int {
+func pickBest(bins []float64, item float64) (int, int) {
 	best := -1
 	for i, b := range bins {
-		meter.Charge1(cost.Compare)
 		if b+item <= 1 && (best < 0 || b > bins[best]) {
 			best = i
 		}
 	}
-	return best
+	return best, len(bins)
 }
 
-func pickWorst(bins []float64, item float64, meter *cost.Meter) int {
+func pickWorst(bins []float64, item float64) (int, int) {
 	worst := -1
 	for i, b := range bins {
-		meter.Charge1(cost.Compare)
 		if b+item <= 1 && (worst < 0 || b < bins[worst]) {
 			worst = i
 		}
 	}
-	return worst
+	return worst, len(bins)
 }
 
 // pickAlmostWorst picks the second-emptiest fitting bin (falling back to
 // the emptiest when only one fits).
-func pickAlmostWorst(bins []float64, item float64, meter *cost.Meter) int {
+func pickAlmostWorst(bins []float64, item float64) (int, int) {
 	worst, second := -1, -1
 	for i, b := range bins {
-		meter.Charge1(cost.Compare)
 		if b+item > 1 {
 			continue
 		}
@@ -180,23 +177,29 @@ func pickAlmostWorst(bins []float64, item float64, meter *cost.Meter) int {
 		}
 	}
 	if second >= 0 {
-		return second
+		return second, len(bins)
 	}
-	return worst
+	return worst, len(bins)
 }
 
+// scanFit places each item in the bin pick chooses, opening a bin when
+// none is chosen. Comparisons are summed locally and charged once, with
+// one move per item and one alloc per bin.
 func scanFit(items []float64, meter *cost.Meter, pick picker) []float64 {
 	var bins []float64
+	compares := 0
 	for _, it := range items {
-		i := pick(bins, it, meter)
+		i, examined := pick(bins, it)
+		compares += examined
 		if i < 0 {
 			bins = append(bins, 0)
 			i = len(bins) - 1
-			meter.Charge1(cost.Alloc)
 		}
 		bins[i] += it
-		meter.Charge1(cost.Move)
 	}
+	meter.Charge(cost.Compare, compares)
+	meter.Charge(cost.Alloc, len(bins))
+	meter.Charge(cost.Move, len(items))
 	return bins
 }
 
@@ -263,7 +266,8 @@ func mffd(items []float64, meter *cost.Meter) []float64 {
 		if used[i] {
 			continue
 		}
-		j := pickFirst(bins, it, meter)
+		j, examined := pickFirst(bins, it)
+		meter.Charge(cost.Compare, examined)
 		if j < 0 {
 			bins = append(bins, 0)
 			j = len(bins) - 1

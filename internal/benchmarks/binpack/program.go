@@ -2,6 +2,7 @@ package binpack
 
 import (
 	"math"
+	"sync"
 
 	"inputtune/internal/choice"
 	"inputtune/internal/cost"
@@ -9,10 +10,45 @@ import (
 	"inputtune/internal/rng"
 )
 
-// Items is a bin-packing input: item sizes in (0, 1].
+// Items is a bin-packing input: item sizes in (0, 1]. Sizes must not
+// change once the items have been Run.
 type Items struct {
 	Sizes []float64
 	Gen   string
+
+	// packsOnce/packs hold each heuristic's packing of Sizes, computed at
+	// most once: its occupancy and its op counts depend only on the items,
+	// and training runs one heuristic on one input under many
+	// configurations. The table is allocated on first Run, so inputs that
+	// are only classified stay small.
+	packsOnce sync.Once
+	packs     *[numAlgorithms]packing
+}
+
+// packing is one heuristic's result on one Items: the occupancy Run
+// returns and the per-op counts Pack charged.
+type packing struct {
+	once      sync.Once
+	occupancy float64
+	counts    [cost.NumOps]uint64
+}
+
+// pack returns the packing of the items with heuristic alg, running
+// Pack on a private meter the first time it is asked for.
+func (it *Items) pack(alg int) *packing {
+	if alg < 0 || alg >= numAlgorithms {
+		panic("binpack: unknown algorithm")
+	}
+	it.packsOnce.Do(func() { it.packs = new([numAlgorithms]packing) })
+	pk := &it.packs[alg]
+	pk.once.Do(func() {
+		m := cost.NewMeter()
+		pk.occupancy = Occupancy(Pack(alg, it.Sizes, m))
+		for op := range pk.counts {
+			pk.counts[op] = m.Count(cost.Op(op))
+		}
+	})
+	return pk
 }
 
 // Size implements feature.Input.
@@ -63,12 +99,18 @@ func (p *Program) HasAccuracy() bool { return true }
 func (p *Program) AccuracyThreshold() float64 { return 0.95 }
 
 // Run packs the items with the heuristic the selector picks for this input
-// size and returns the occupancy accuracy.
+// size and returns the occupancy accuracy. Each (items, heuristic) pair is
+// packed once; later Runs replay its op counts onto meter, so the meter
+// reads exactly what a fresh Pack would charge.
 func (p *Program) Run(cfg *choice.Config, in feature.Input, meter *cost.Meter) float64 {
 	items := in.(*Items)
-	alg := cfg.Decide(0, len(items.Sizes))
-	bins := Pack(alg, items.Sizes, meter)
-	return Occupancy(bins)
+	pk := items.pack(cfg.Decide(0, len(items.Sizes)))
+	for op, n := range pk.counts {
+		if n != 0 {
+			meter.Charge(cost.Op(op), int(n))
+		}
+	}
+	return pk.occupancy
 }
 
 // --- feature extractors -------------------------------------------------

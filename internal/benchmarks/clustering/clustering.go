@@ -140,25 +140,63 @@ func (pts *Points) canonical() float64 {
 }
 
 // kmeansRun executes the parameterised k-means variant and returns the mean
-// point-to-center distance.
+// point-to-center distance. Its charges are a pure function of (n, k,
+// iters, init), so chargeKmeans makes them in bulk before the passes run:
+// the meter's per-op counts equal those of charging each distance as it is
+// evaluated.
 func kmeansRun(pts *Points, k, iters, init int, meter *cost.Meter) float64 {
-	n := len(pts.X)
+	xs := pts.X
+	ys := pts.Y[:len(xs)]
+	n := len(xs)
 	if k > n {
 		k = n
 	}
 	if k < 1 {
 		k = 1
 	}
-	cx := make([]float64, k)
-	cy := make([]float64, k)
+	chargeKmeans(meter, n, k, iters, init)
+	buf := make([]float64, 4*k)
+	cx, cy, sumX, sumY := buf[:k], buf[k:2*k], buf[2*k:3*k], buf[3*k:]
+	cnt := make([]int, k)
+	initCenters(pts, init, cx, cy)
+	for it := 0; it < iters; it++ {
+		lloydStep(xs, ys, cx, cy, sumX, sumY, cnt)
+	}
+	return meanDistance(xs, ys, cx, cy)
+}
+
+// chargeKmeans charges the work kmeansRun does for n points, k centers,
+// iters Lloyd steps and the given initialisation. Every distance
+// evaluation costs 3 flops.
+func chargeKmeans(meter *cost.Meter, n, k, iters, init int) {
+	switch init {
+	case InitPrefix:
+		meter.Charge(cost.Move, k)
+	case InitRandom:
+		meter.Charge(cost.Move, k)
+		meter.Charge(cost.Scan, k)
+	default: // InitCenterPlus: n distances per center after the first
+		meter.Charge(cost.Flop, 3*n*(k-1))
+		meter.Charge(cost.Move, k)
+	}
+	// Each Lloyd step: n·k distances and n assignment moves, then n
+	// accumulations and k center updates.
+	iters = max(iters, 0)
+	meter.Charge(cost.Move, iters*n)
+	meter.Charge(cost.Flop, iters*(3*n*k+n+k))
+	// Final mean distance: n·k distances.
+	meter.Charge(cost.Flop, 3*n*k)
+}
+
+// initCenters fills the len(cx) starting centers for the chosen strategy.
+func initCenters(pts *Points, init int, cx, cy []float64) {
+	n, k := len(pts.X), len(cx)
 	switch init {
 	case InitPrefix:
 		// First k points: free of charge beyond the copy, and hopeless when
 		// the prefix is not representative.
-		for i := 0; i < k; i++ {
-			cx[i], cy[i] = pts.X[i], pts.Y[i]
-		}
-		meter.Charge(cost.Move, k)
+		copy(cx, pts.X[:k])
+		copy(cy, pts.Y[:k])
 	case InitRandom:
 		// Deterministic stride-based pseudo-random pick seeded by the
 		// input: cheap, but can draw two centers from one cluster.
@@ -171,21 +209,23 @@ func kmeansRun(pts *Points, k, iters, init int, meter *cost.Meter) float64 {
 			cx[i], cy[i] = pts.X[idx], pts.Y[idx]
 			idx = (idx + stride) % n
 		}
-		meter.Charge(cost.Move, k)
-		meter.Charge(cost.Scan, k)
 	default: // InitCenterPlus
 		// Farthest-point (k-means++-style greedy) initialisation: k·n
 		// distance evaluations, the most expensive and most robust start.
-		cx[0], cy[0] = pts.X[0], pts.Y[0]
+		xs, ys := pts.X, pts.Y[:n]
+		cx[0], cy[0] = xs[0], ys[0]
+		if k == 1 {
+			return
+		}
 		minD := make([]float64, n)
 		for i := range minD {
 			minD[i] = math.Inf(1)
 		}
 		for c := 1; c < k; c++ {
+			px, py := cx[c-1], cy[c-1]
 			far, farD := 0, -1.0
-			for i := 0; i < n; i++ {
-				d := sq(pts.X[i]-cx[c-1]) + sq(pts.Y[i]-cy[c-1])
-				meter.Charge(cost.Flop, 3)
+			for i, x := range xs {
+				d := sq(x-px) + sq(ys[i]-py)
 				if d < minD[i] {
 					minD[i] = d
 				}
@@ -193,58 +233,61 @@ func kmeansRun(pts *Points, k, iters, init int, meter *cost.Meter) float64 {
 					far, farD = i, minD[i]
 				}
 			}
-			cx[c], cy[c] = pts.X[far], pts.Y[far]
+			cx[c], cy[c] = xs[far], ys[far]
 		}
-		meter.Charge(cost.Move, k)
 	}
+}
 
-	assign := make([]int, n)
-	for it := 0; it < iters; it++ {
-		// Assignment: n·k distance evaluations.
-		for i := 0; i < n; i++ {
-			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				d := sq(pts.X[i]-cx[c]) + sq(pts.Y[i]-cy[c])
-				meter.Charge(cost.Flop, 3)
-				if d < bestD {
-					best, bestD = c, d
-				}
-			}
-			assign[i] = best
-		}
-		meter.Charge(cost.Move, n)
-		// Update.
-		sumX := make([]float64, k)
-		sumY := make([]float64, k)
-		cnt := make([]int, k)
-		for i := 0; i < n; i++ {
-			sumX[assign[i]] += pts.X[i]
-			sumY[assign[i]] += pts.Y[i]
-			cnt[assign[i]]++
-		}
-		meter.Charge(cost.Flop, n)
-		for c := 0; c < k; c++ {
-			if cnt[c] > 0 {
-				cx[c] = sumX[c] / float64(cnt[c])
-				cy[c] = sumY[c] / float64(cnt[c])
-			}
-		}
-		meter.Charge(cost.Flop, k)
+// lloydStep is one Lloyd iteration: each point joins its nearest center
+// and every non-empty center moves to the mean of its points. Each
+// cluster's sums accumulate in point order.
+func lloydStep(xs, ys, cx, cy, sumX, sumY []float64, cnt []int) {
+	clear(sumX)
+	clear(sumY)
+	clear(cnt)
+	for i, x := range xs {
+		y := ys[i]
+		c, _ := nearest(x, y, cx, cy)
+		sumX[c] += x
+		sumY[c] += y
+		cnt[c]++
 	}
-	// Final mean distance.
+	for c, nc := range cnt {
+		if nc > 0 {
+			cx[c] = sumX[c] / float64(nc)
+			cy[c] = sumY[c] / float64(nc)
+		}
+	}
+}
+
+// meanDistance returns the mean distance from each point to its nearest
+// center.
+func meanDistance(xs, ys, cx, cy []float64) float64 {
 	total := 0.0
-	for i := 0; i < n; i++ {
-		best := math.Inf(1)
-		for c := 0; c < k; c++ {
-			d := sq(pts.X[i]-cx[c]) + sq(pts.Y[i]-cy[c])
-			meter.Charge(cost.Flop, 3)
-			if d < best {
-				best = d
-			}
-		}
-		total += math.Sqrt(best)
+	for i, x := range xs {
+		_, d := nearest(x, ys[i], cx, cy)
+		total += math.Sqrt(d)
 	}
-	return total / float64(n)
+	return total / float64(len(xs))
+}
+
+// nearest returns the index of the center closest to (x, y), the first
+// one on ties, and its squared distance (+Inf when no distance compares
+// below it). It compares the distances' bit patterns as integers, which
+// compiles to conditional moves instead of an unpredictable branch. The
+// result is the float comparison's: a sum of two squares is +0, positive,
+// +Inf or NaN, integer order matches float order on the non-negative
+// floats, and every NaN pattern sorts above +Inf, so a NaN never wins.
+func nearest(x, y float64, cx, cy []float64) (int, float64) {
+	cy = cy[:len(cx)]
+	best, bestB := 0, math.Float64bits(math.Inf(1))
+	for c, cxc := range cx {
+		b := math.Float64bits(sq(x-cxc) + sq(y-cy[c]))
+		if b < bestB {
+			best, bestB = c, b
+		}
+	}
+	return best, math.Float64frombits(bestB)
 }
 
 func sq(x float64) float64 { return x * x }

@@ -1,10 +1,13 @@
 package helmholtz3d
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"inputtune/internal/choice"
 	"inputtune/internal/cost"
+	"inputtune/internal/pde"
 	"inputtune/internal/rng"
 )
 
@@ -149,5 +152,80 @@ func TestIterationsMonotone(t *testing.T) {
 			}
 		}
 		prevAcc, prevCost = acc, m.Elapsed()
+	}
+}
+
+// twinProblem is a fresh Problem on the same operator and a copy of the
+// right-hand side: none of prob's lazily computed state carries over.
+func twinProblem(prob *Problem) *Problem {
+	return &Problem{N: prob.N, Op: prob.Op, F: prob.F.Clone(), Gen: prob.Gen}
+}
+
+// TestDirectRunReusesDirectSolve proves a SolverDirect Run, which returns
+// the problem's shared direct solve, reports the accuracy of a Run on a
+// fresh twin and charges the flops of a fresh pde.DirectHelmholtz3D —
+// whatever solver ran on the problem first.
+func TestDirectRunReusesDirectSolve(t *testing.T) {
+	r := rng.New(61)
+	for _, first := range []int{SolverDirect, SolverSOR, SolverMultigrid} {
+		for _, gen := range Generators() {
+			prob := gen.Gen(7, r)
+			var fw pde.Work
+			pde.DirectHelmholtz3D(prob.Op, prob.F, &fw)
+			wantAcc := New().Run(cfgSolver(New(), SolverDirect), twinProblem(prob), cost.NewMeter())
+
+			p := New()
+			p.Run(cfgSolver(p, first), prob, cost.NewMeter())
+			for rep := 0; rep < 2; rep++ {
+				m := cost.NewMeter()
+				acc := p.Run(cfgSolver(p, SolverDirect), prob, m)
+				if math.Float64bits(acc) != math.Float64bits(wantAcc) {
+					t.Fatalf("%s after %s: direct accuracy %v, fresh twin %v", gen.Name, SolverNames[first], acc, wantAcc)
+				}
+				if got := m.Count(cost.Flop); got != uint64(fw.Flops) {
+					t.Fatalf("%s after %s: direct Run charged %d flops, fresh solve %d", gen.Name, SolverNames[first], got, fw.Flops)
+				}
+			}
+		}
+	}
+}
+
+// TestDirectRunSharedSolveConcurrent races direct and iterative Runs on
+// one problem (run it under -race): every direct Run must match a fresh
+// twin's accuracy and a fresh solve's flops, and the shared direct grid
+// must keep the fresh solve's bits.
+func TestDirectRunSharedSolveConcurrent(t *testing.T) {
+	r := rng.New(67)
+	prob := GenVaryingCoeff(7, r)
+	var fw pde.Work
+	fresh := pde.DirectHelmholtz3D(prob.Op, prob.F, &fw)
+	wantAcc := New().Run(cfgSolver(New(), SolverDirect), twinProblem(prob), cost.NewMeter())
+
+	p := New()
+	solvers := []int{SolverDirect, SolverSOR, SolverDirect, SolverMultigrid, SolverDirect, SolverJacobi}
+	var wg sync.WaitGroup
+	for _, solver := range solvers {
+		wg.Add(1)
+		go func(solver int) {
+			defer wg.Done()
+			m := cost.NewMeter()
+			acc := p.Run(cfgSolver(p, solver), prob, m)
+			if solver != SolverDirect {
+				return
+			}
+			if math.Float64bits(acc) != math.Float64bits(wantAcc) {
+				t.Errorf("concurrent direct accuracy %v, fresh twin %v", acc, wantAcc)
+			}
+			if got := m.Count(cost.Flop); got != uint64(fw.Flops) {
+				t.Errorf("concurrent direct Run charged %d flops, fresh solve %d", got, fw.Flops)
+			}
+		}(solver)
+	}
+	wg.Wait()
+	direct, _ := prob.directSolution()
+	for i, v := range direct.Data {
+		if math.Float64bits(v) != math.Float64bits(fresh.Data[i]) {
+			t.Fatalf("shared direct grid cell %d changed: %v vs fresh %v", i, v, fresh.Data[i])
+		}
 	}
 }

@@ -33,7 +33,8 @@ const (
 	Branch
 	// Alloc is one element of allocated working storage.
 	Alloc
-	numOps
+	// NumOps is the number of op classes; every valid Op is below it.
+	NumOps
 )
 
 // String returns the mnemonic name of the op class.
@@ -60,7 +61,7 @@ func (o Op) String() string {
 // defaults approximate relative costs on a cache-resident workload; the
 // exact values only scale results and do not change orderings within an
 // op-homogeneous algorithm family.
-type Weights [numOps]float64
+type Weights [NumOps]float64
 
 // DefaultWeights returns the standard weight vector. All default weights
 // are dyadic rationals (k/2^m), so weighted totals are exact in binary
@@ -89,7 +90,7 @@ func DefaultWeights() Weights {
 // counts, independent of the order in which charges arrived.
 type Meter struct {
 	weights Weights
-	counts  [numOps]uint64
+	counts  [NumOps]uint64
 	// units holds only raw ChargeUnits additions (pre-weighted charges
 	// from child meters); weighted op charges live in counts.
 	units float64
@@ -139,7 +140,7 @@ func (m *Meter) Count(op Op) uint64 { return m.counts[op] }
 
 // Reset zeroes all counters, keeping the weights.
 func (m *Meter) Reset() {
-	m.counts = [numOps]uint64{}
+	m.counts = [NumOps]uint64{}
 	m.units = 0
 }
 

@@ -23,7 +23,10 @@ func SymmetricEigen(a *Matrix, maxSweeps int, tol float64) (vals []float64, vecs
 	}
 	n := a.Rows
 	w := a.Clone()
-	v := Identity(n)
+	wd := w.Data
+	// The rotations update whole columns of V, so V is held transposed:
+	// column k of V is the contiguous row k of vt.
+	vt := Identity(n)
 	if maxSweeps <= 0 {
 		maxSweeps = 30
 	}
@@ -33,8 +36,8 @@ func SymmetricEigen(a *Matrix, maxSweeps int, tol float64) (vals []float64, vecs
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		off := 0.0
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += w.At(i, j) * w.At(i, j)
+			for _, x := range wd[i*n+i+1 : (i+1)*n] {
+				off += x * x
 			}
 		}
 		if math.Sqrt(2*off) <= tol*w.FrobeniusNorm() {
@@ -43,39 +46,42 @@ func SymmetricEigen(a *Matrix, maxSweeps int, tol float64) (vals []float64, vecs
 		st.Sweeps++
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
+				apq := wd[p*n+q]
 				if math.Abs(apq) < 1e-300 {
 					continue
 				}
-				app, aqq := w.At(p, p), w.At(q, q)
+				app, aqq := wd[p*n+p], wd[q*n+q]
 				theta := (aqq - app) / (2 * apq)
 				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
 				c := 1 / math.Sqrt(t*t+1)
 				s := t * c
 				st.Rotations++
-				// Update rows/columns p and q of W.
-				for k := 0; k < n; k++ {
-					wkp, wkq := w.At(k, p), w.At(k, q)
-					w.Set(k, p, c*wkp-s*wkq)
-					w.Set(k, q, s*wkp+c*wkq)
+				// Update columns p and q of W, then rows p and q.
+				for kp := p; kp < len(wd); kp += n {
+					kq := kp - p + q
+					wkp, wkq := wd[kp], wd[kq]
+					wd[kp] = c*wkp - s*wkq
+					wd[kq] = s*wkp + c*wkq
 				}
-				for k := 0; k < n; k++ {
-					wpk, wqk := w.At(p, k), w.At(q, k)
-					w.Set(p, k, c*wpk-s*wqk)
-					w.Set(q, k, s*wpk+c*wqk)
+				rp, rq := w.Row(p), w.Row(q)
+				for k, wpk := range rp {
+					wqk := rq[k]
+					rp[k] = c*wpk - s*wqk
+					rq[k] = s*wpk + c*wqk
 				}
 				// Accumulate eigenvectors.
-				for k := 0; k < n; k++ {
-					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+				vp, vq := vt.Row(p), vt.Row(q)
+				for k, vkp := range vp {
+					vkq := vq[k]
+					vp[k] = c*vkp - s*vkq
+					vq[k] = s*vkp + c*vkq
 				}
 			}
 		}
 	}
 	vals = make([]float64, n)
 	for i := range vals {
-		vals[i] = w.At(i, i)
+		vals[i] = wd[i*n+i]
 	}
 	// Sort eigenpairs by descending eigenvalue.
 	idx := make([]int, n)
@@ -87,8 +93,8 @@ func SymmetricEigen(a *Matrix, maxSweeps int, tol float64) (vals []float64, vecs
 	sortedVecs := NewMatrix(n, n)
 	for newCol, oldCol := range idx {
 		sortedVals[newCol] = vals[oldCol]
-		for r := 0; r < n; r++ {
-			sortedVecs.Set(r, newCol, v.At(r, oldCol))
+		for r, x := range vt.Row(oldCol) {
+			sortedVecs.Set(r, newCol, x)
 		}
 	}
 	return sortedVals, sortedVecs, st
@@ -99,6 +105,10 @@ func SymmetricEigen(a *Matrix, maxSweeps int, tol float64) (vals []float64, vecs
 // refined for at most iters iterations or until the eigenvector rotates by
 // less than tol between iterations. Returned eigenvalues are in order of
 // extraction (descending |λ| in exact arithmetic).
+//
+// Each iteration counts two matvecs, W·x for the step and W·x for the
+// Rayleigh quotient; the second is exactly the next step's product, so it
+// is computed once and carried over.
 func PowerIteration(a *Matrix, k, iters int, tol float64, seedVec []float64) (vals []float64, vecs *Matrix, st EigenStats) {
 	if a.Rows != a.Cols {
 		panic("linalg: PowerIteration of non-square matrix")
@@ -116,8 +126,10 @@ func PowerIteration(a *Matrix, k, iters int, tol float64, seedVec []float64) (va
 	work := a.Clone()
 	vals = make([]float64, 0, k)
 	vecs = NewMatrix(n, k)
-	x := make([]float64, n)
-	prev := make([]float64, n)
+	buf := make([]float64, 3*n)
+	// x is the current unit vector, wx = W·x and prev the vector before
+	// the last step.
+	x, wx, prev := buf[:n], buf[n:2*n], buf[2*n:]
 	for e := 0; e < k; e++ {
 		// Deterministic start vector, perturbed per eigenpair; callers may
 		// pass a seed vector to decorrelate from special structure.
@@ -130,16 +142,17 @@ func PowerIteration(a *Matrix, k, iters int, tol float64, seedVec []float64) (va
 		Normalize(x)
 		st.Sweeps++
 		var lambda float64
+		work.mulVecInto(wx, x)
 		for it := 0; it < iters; it++ {
 			copy(prev, x)
-			y := work.MulVec(x)
-			st.MatVecs++
-			nrm := Normalize(y)
+			st.MatVecs++ // y = W·x, already in wx
+			nrm := Normalize(wx)
 			if nrm == 0 {
 				break
 			}
-			copy(x, y)
-			lambda = Dot(x, work.MulVec(x))
+			x, wx = wx, x
+			work.mulVecInto(wx, x)
+			lambda = Dot(x, wx)
 			st.MatVecs++
 			// Convergence: direction change below tol (sign-insensitive).
 			diff := 0.0
@@ -152,13 +165,14 @@ func PowerIteration(a *Matrix, k, iters int, tol float64, seedVec []float64) (va
 			}
 		}
 		vals = append(vals, lambda)
-		for i := 0; i < n; i++ {
-			vecs.Set(i, e, x[i])
+		for i, xi := range x {
+			vecs.Data[i*k+e] = xi
 		}
 		// Deflate: work -= λ x x^T.
 		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				work.Set(i, j, work.At(i, j)-lambda*x[i]*x[j])
+			row := work.Data[i*n : (i+1)*n]
+			for j, xj := range x {
+				row[j] -= lambda * x[i] * xj
 			}
 		}
 	}

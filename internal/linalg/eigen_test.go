@@ -152,7 +152,7 @@ func TestEigenSVDMatchesJacobi(t *testing.T) {
 	r := rng.New(55)
 	a := Random(8, 5, r)
 	ref := JacobiSVD(a, 0, 0)
-	got := EigenSVD(a, 5, func(g *Matrix) ([]float64, *Matrix, EigenStats) {
+	got := EigenSVD(a, a.T().Mul(a), 5, func(g *Matrix) ([]float64, *Matrix, EigenStats) {
 		return SymmetricEigen(g, 0, 0)
 	})
 	for i := range got.S {

@@ -135,11 +135,17 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 
 // MulVec returns the matrix-vector product m * x.
 func (m *Matrix) MulVec(x []float64) []float64 {
-	if m.Cols != len(x) {
+	out := make([]float64, m.Rows)
+	m.mulVecInto(out, x)
+	return out
+}
+
+// mulVecInto writes m * x into out, which must not alias x.
+func (m *Matrix) mulVecInto(out, x []float64) {
+	if m.Cols != len(x) || m.Rows != len(out) {
 		panic("linalg: MulVec shape mismatch")
 	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	for i := range out {
 		sum := 0.0
 		row := m.Row(i)
 		for j, v := range row {
@@ -147,7 +153,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		}
 		out[i] = sum
 	}
-	return out
 }
 
 // FrobeniusNorm returns sqrt(sum of squared entries).

@@ -26,8 +26,10 @@ func JacobiSVD(a *Matrix, maxSweeps int, tol float64) *SVDResult {
 		return &SVDResult{U: r.V, S: r.S, V: r.U, Stats: r.Stats}
 	}
 	m, n := a.Rows, a.Cols
-	w := a.Clone()
-	v := Identity(n)
+	// The method works on whole columns, so W and V are held transposed:
+	// column j of each is the contiguous row j of wt and vt.
+	wt := a.T()
+	vt := Identity(n)
 	if maxSweeps <= 0 {
 		maxSweeps = 30
 	}
@@ -39,11 +41,13 @@ func JacobiSVD(a *Matrix, maxSweeps int, tol float64) *SVDResult {
 		converged := true
 		st.Sweeps++
 		for p := 0; p < n-1; p++ {
+			wp, vp := wt.Row(p), vt.Row(p)
 			for q := p + 1; q < n; q++ {
+				wq := wt.Row(q)[:len(wp)]
 				// Compute the 2x2 Gram submatrix for columns p, q.
 				var app, aqq, apq float64
-				for i := 0; i < m; i++ {
-					wip, wiq := w.At(i, p), w.At(i, q)
+				for i, wip := range wp {
+					wiq := wq[i]
 					app += wip * wip
 					aqq += wiq * wiq
 					apq += wip * wiq
@@ -57,15 +61,16 @@ func JacobiSVD(a *Matrix, maxSweeps int, tol float64) *SVDResult {
 				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
 				c := 1 / math.Sqrt(t*t+1)
 				s := t * c
-				for i := 0; i < m; i++ {
-					wip, wiq := w.At(i, p), w.At(i, q)
-					w.Set(i, p, c*wip-s*wiq)
-					w.Set(i, q, s*wip+c*wiq)
+				for i, wip := range wp {
+					wiq := wq[i]
+					wp[i] = c*wip - s*wiq
+					wq[i] = s*wip + c*wiq
 				}
-				for i := 0; i < n; i++ {
-					vip, viq := v.At(i, p), v.At(i, q)
-					v.Set(i, p, c*vip-s*viq)
-					v.Set(i, q, s*vip+c*viq)
+				vq := vt.Row(q)[:len(vp)]
+				for i, vip := range vp {
+					viq := vq[i]
+					vp[i] = c*vip - s*viq
+					vq[i] = s*vip + c*viq
 				}
 			}
 		}
@@ -75,19 +80,12 @@ func JacobiSVD(a *Matrix, maxSweeps int, tol float64) *SVDResult {
 	}
 	// Column norms of W are the singular values; normalised columns are U.
 	s := make([]float64, n)
-	u := NewMatrix(m, n)
-	for j := 0; j < n; j++ {
+	for j := range s {
 		nrm := 0.0
-		for i := 0; i < m; i++ {
-			nrm += w.At(i, j) * w.At(i, j)
+		for _, x := range wt.Row(j) {
+			nrm += x * x
 		}
-		nrm = math.Sqrt(nrm)
-		s[j] = nrm
-		if nrm > 0 {
-			for i := 0; i < m; i++ {
-				u.Set(i, j, w.At(i, j)/nrm)
-			}
-		}
+		s[j] = math.Sqrt(nrm)
 	}
 	// Sort by descending singular value.
 	idx := make([]int, n)
@@ -99,12 +97,15 @@ func JacobiSVD(a *Matrix, maxSweeps int, tol float64) *SVDResult {
 	us := NewMatrix(m, n)
 	vs := NewMatrix(n, n)
 	for newCol, oldCol := range idx {
-		ss[newCol] = s[oldCol]
-		for i := 0; i < m; i++ {
-			us.Set(i, newCol, u.At(i, oldCol))
+		nrm := s[oldCol]
+		ss[newCol] = nrm
+		if nrm > 0 {
+			for i, x := range wt.Row(oldCol) {
+				us.Set(i, newCol, x/nrm)
+			}
 		}
-		for i := 0; i < n; i++ {
-			vs.Set(i, newCol, v.At(i, oldCol))
+		for i, x := range vt.Row(oldCol) {
+			vs.Set(i, newCol, x)
 		}
 	}
 	return &SVDResult{U: us, S: ss, V: vs, Stats: st}
@@ -134,37 +135,61 @@ func (r *SVDResult) Truncate(k int) *SVDResult {
 
 // Reconstruct returns U * diag(S) * V^T.
 func (r *SVDResult) Reconstruct() *Matrix {
-	m, n, k := r.U.Rows, r.V.Rows, len(r.S)
-	out := NewMatrix(m, n)
-	for j := 0; j < k; j++ {
-		sj := r.S[j]
-		if sj == 0 {
-			continue
-		}
-		for i := 0; i < m; i++ {
-			uij := r.U.At(i, j) * sj
-			if uij == 0 {
-				continue
-			}
-			oi := out.Row(i)
-			for c := 0; c < n; c++ {
-				oi[c] += uij * r.V.At(c, j)
-			}
-		}
+	out := NewMatrix(r.U.Rows, r.V.Rows)
+	for i := 0; i < out.Rows; i++ {
+		r.reconstructRow(i, out.Row(i))
 	}
 	return out
 }
 
+// ResidualRMS returns the RMS of U * diag(S) * V^T - a, the same value as
+// r.Reconstruct().Sub(a).RMS(), one reconstructed row at a time.
+func (r *SVDResult) ResidualRMS(a *Matrix) float64 {
+	if a.Rows != r.U.Rows || a.Cols != r.V.Rows {
+		panic("linalg: shape mismatch")
+	}
+	row := make([]float64, a.Cols)
+	sum := 0.0
+	for i := 0; i < a.Rows; i++ {
+		r.reconstructRow(i, row)
+		for c, v := range a.Row(i) {
+			d := row[c] - v
+			sum += d * d
+		}
+	}
+	return math.Sqrt(sum) / math.Sqrt(float64(len(a.Data)))
+}
+
+// reconstructRow writes row i of U * diag(S) * V^T into out, adding the
+// singular triplets' terms in index order.
+func (r *SVDResult) reconstructRow(i int, out []float64) {
+	clear(out)
+	for j, sj := range r.S {
+		if sj == 0 {
+			continue
+		}
+		uij := r.U.At(i, j) * sj
+		if uij == 0 {
+			continue
+		}
+		for c := range out {
+			out[c] += uij * r.V.At(c, j)
+		}
+	}
+}
+
 // EigenSVD computes a rank-k SVD of an m-by-n matrix via the symmetric
-// eigendecomposition of A^T A (suitable when n is modest), using the
-// provided eigensolver function. It exists so the SVD benchmark can swap
-// eigen techniques (full Jacobi vs. power iteration) as algorithmic choices.
-func EigenSVD(a *Matrix, k int, eigen func(gram *Matrix) ([]float64, *Matrix, EigenStats)) *SVDResult {
+// eigendecomposition of its Gram matrix A^T A (suitable when n is modest),
+// using the provided eigensolver function. It exists so the SVD benchmark
+// can swap eigen techniques (full Jacobi vs. power iteration) as
+// algorithmic choices. The caller supplies gram, so one Gram matrix can
+// serve many decompositions of a; EigenSVD never modifies it, and eigen
+// must not either.
+func EigenSVD(a, gram *Matrix, k int, eigen func(gram *Matrix) ([]float64, *Matrix, EigenStats)) *SVDResult {
 	n := a.Cols
 	if k > n {
 		k = n
 	}
-	gram := a.T().Mul(a)
 	vals, vecs, st := eigen(gram)
 	if len(vals) > k {
 		vals = vals[:k]
@@ -182,12 +207,13 @@ func EigenSVD(a *Matrix, k int, eigen func(gram *Matrix) ([]float64, *Matrix, Ei
 	}
 	// U = A V S^{-1}
 	u := NewMatrix(a.Rows, kk)
+	col := make([]float64, n)
+	av := make([]float64, a.Rows)
 	for j := 0; j < kk; j++ {
-		col := make([]float64, n)
 		for i := 0; i < n; i++ {
 			col[i] = v.At(i, j)
 		}
-		av := a.MulVec(col)
+		a.mulVecInto(av, col)
 		if s[j] > 1e-300 {
 			for i := range av {
 				u.Set(i, j, av[i]/s[j])
