@@ -79,9 +79,8 @@ func main() {
 	outDir := fs.String("out", "", "directory for CSV output (optional)")
 	seed := fs.Uint64("seed", 0, "override RNG seed (0 = scale default)")
 	verbose := fs.Bool("v", false, "log training progress")
-	benchJSON := fs.String("json", "", "bench: output path for the JSON report (default BENCH_1.json, or BENCH_1.nocache.json with -nocache)")
+	benchJSON := fs.String("json", "", "bench: output path for the JSON report (default BENCH_latest.json, or BENCH_latest.nocache.json with -nocache)")
 	noCache := fs.Bool("nocache", false, "disable the measurement cache (A/B escape hatch; any subcommand)")
-	flatTuner := fs.Bool("flat-tuner", false, "revert to the flat single-run GA (dependency-aware A/B baseline; any training subcommand)")
 	clients := fs.Int("clients", 8, "serve-bench: concurrent load-generator clients")
 	requests := fs.Int("requests", 2000, "serve-bench: total requests per case and wire")
 	reloads := fs.Int("reloads", 2, "serve-bench: hot reloads fired mid-run")
@@ -108,7 +107,6 @@ func main() {
 		sc.Seed = *seed
 	}
 	sc.DisableCache = *noCache
-	sc.FlatTuner = *flatTuner
 	logf := func(string, ...any) {}
 	if *verbose {
 		logf = func(format string, args ...any) {

@@ -71,8 +71,6 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable the decision cache")
 	quantize := flag.Int("cache-quantize", 0, "decision-cache key quantization in mantissa bits (0 = exact keys; >0 trades the bit-identical guarantee for hit rate on near-duplicate inputs)")
 	wireList := flag.String("wire", "json,binary", "accepted request wire formats (comma-separated: json, binary)")
-	shards := flag.Int("shards", 0, "batching shards (0 = classify inline per request)")
-	maxBatch := flag.Int("batch", 0, "max requests per shard batch (0 = default)")
 	trainCase := flag.String("train", "", "train a quick-scale model for this case in-process (e.g. sort2)")
 	fleetN := flag.Int("fleet", 0, "run N in-process replicas behind a consistent-hash router (0/1 = single service)")
 	shardQuantize := flag.Int("shard-quantize", 8, "fleet: fingerprint quantization bits for request sharding (replica caches stay exact)")
@@ -181,10 +179,8 @@ func main() {
 			Disable:      *noCache,
 			QuantizeBits: *quantize,
 		},
-		Shards:   *shards,
-		MaxBatch: *maxBatch,
-		Wires:    wires,
-		Tracer:   tracer,
+		Wires:  wires,
+		Tracer: tracer,
 	}
 	// newService builds one full serving stack with every artifact loaded —
 	// the single daemon, or one fleet replica. The registry is returned too
@@ -285,12 +281,7 @@ func main() {
 			driftCtrl.Bind(svc)
 		}
 		handler = serve.NewHandler(svc)
-		drain = func(ctx context.Context) error {
-			svc.BeginDrain()
-			err := svc.Drain(ctx)
-			svc.Close()
-			return err
-		}
+		drain = svc.Drain
 		serving = "single service"
 	}
 	if *driftOn {

@@ -67,10 +67,6 @@ type Options struct {
 	// generation loop stops. With a shared memo (MetaTune) the cap spans
 	// all trials.
 	MaxEvaluations int
-	// Flat disables dependency-aware search: operators may touch dead
-	// genes and dedup uses the full-genome fingerprint. This is the
-	// pre-dependency-graph behaviour, kept for A/B comparison.
-	Flat bool
 
 	// memo, when set, shares evaluation results (and the evaluation
 	// budget) across several tune runs — MetaTune's trials.
@@ -180,7 +176,7 @@ func better(a, b individual, requireAcc bool, target float64) bool {
 func Tune(opts Options) (*choice.Config, Stats) {
 	pop, st := tune(opts)
 	cfg := pop[0].cfg
-	if !opts.Flat && opts.Space.HasDependencies() {
+	if opts.Space.HasDependencies() {
 		cfg = opts.Space.Canonicalize(cfg)
 	}
 	return cfg, st
@@ -197,15 +193,7 @@ func tune(opts Options) ([]individual, Stats) {
 	var st Stats
 	pool := engine.Default()
 
-	liveAware := !opts.Flat && opts.Space.HasDependencies()
-	mo := choice.MutateOptions{Weights: opts.Weights, Flat: opts.Flat}
-	xo := choice.CrossoverOptions{Flat: opts.Flat}
-	randomCfg := func() *choice.Config {
-		if opts.Flat {
-			return opts.Space.RandomConfigFlat(r)
-		}
-		return opts.Space.RandomConfig(r)
-	}
+	liveAware := opts.Space.HasDependencies()
 
 	// memo holds every result of this run keyed by behaviour fingerprint,
 	// so duplicate genomes (no-op mutations, re-bred crossovers, converged
@@ -284,7 +272,7 @@ func tune(opts Options) ([]individual, Stats) {
 		}
 	}
 	for len(seedCfgs) < opts.Population {
-		seedCfgs = append(seedCfgs, randomCfg())
+		seedCfgs = append(seedCfgs, opts.Space.RandomConfig(r))
 	}
 	pop := evalAll(seedCfgs, 1)
 	sortPop(pop, opts)
@@ -300,16 +288,16 @@ func tune(opts Options) ([]individual, Stats) {
 		nOff := opts.Population - opts.Elites
 		offspring := make([]*choice.Config, 0, nOff)
 		for i := 0; i < opts.Immigrants; i++ {
-			offspring = append(offspring, randomCfg())
+			offspring = append(offspring, opts.Space.RandomConfig(r))
 		}
 		for len(offspring) < nOff {
 			a := tournament(pop, opts, r)
 			if r.Coin(opts.CrossoverRate) {
 				b := tournament(pop, opts, r)
-				child := opts.Space.CrossoverWith(pop[a].cfg, pop[b].cfg, r, xo)
-				offspring = append(offspring, opts.Space.MutateWith(child, r, mo))
+				child := opts.Space.Crossover(pop[a].cfg, pop[b].cfg, r)
+				offspring = append(offspring, opts.Space.MutateWith(child, r, opts.Weights))
 			} else {
-				offspring = append(offspring, opts.Space.MutateWith(pop[a].cfg, r, mo))
+				offspring = append(offspring, opts.Space.MutateWith(pop[a].cfg, r, opts.Weights))
 			}
 		}
 		evaluated := evalAll(offspring, 0)

@@ -25,9 +25,9 @@ type MetaOptions struct {
 	// up to 3×Trials trials.
 	Trials int
 	// Budget caps total EvalFunc invocations across all trials. 0 selects
-	// the self-tuned default: 3/5 of what the flat single-run GA would
-	// request (Population + Generations×(Population−Elites)), floored so
-	// the first trial can always seed a population.
+	// the self-tuned default: 4/5 of what a single-run GA would request,
+	// FlatCost(Population, Generations), floored so the first trial can
+	// always seed a population.
 	Budget int
 }
 
@@ -95,8 +95,7 @@ func MetaTune(mo MetaOptions) (*choice.Config, MetaStats) {
 		mo.Trials = 3
 	}
 	if mo.Budget <= 0 {
-		flatCost := base.Population + base.Generations*(base.Population-base.Elites)
-		mo.Budget = flatCost * 4 / 5
+		mo.Budget = FlatCost(base.Population, base.Generations) * 4 / 5
 	}
 	if mo.Budget < base.Population {
 		mo.Budget = base.Population
@@ -164,15 +163,16 @@ func MetaTune(mo MetaOptions) (*choice.Config, MetaStats) {
 	agg.BestAcc = bestInd.res.Accuracy
 	agg.Feasible = !base.RequireAccuracy || bestInd.res.Accuracy >= base.AccuracyTarget
 	cfg := bestInd.cfg
-	if !base.Flat && base.Space.HasDependencies() {
+	if base.Space.HasDependencies() {
 		cfg = base.Space.Canonicalize(cfg)
 	}
 	return cfg, MetaStats{Stats: agg, Trials: trialsRun, Budget: mo.Budget}
 }
 
-// FlatCost returns the number of evaluations a flat single-run GA with the
-// given population and generations would request (defaults applied) —
-// the reference point budgets and budget fractions are expressed against.
+// FlatCost returns the number of evaluations a single-run GA (Tune) with
+// the given population and generations would request, Population +
+// Generations×(Population−Elites) with defaults applied: the unit that
+// budgets and budget fractions are expressed in.
 func FlatCost(population, generations int) int {
 	o := Options{Population: population, Generations: generations}
 	o.setDefaults()

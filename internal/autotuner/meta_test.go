@@ -93,18 +93,18 @@ func TestMetaTuneDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestMetaTuneBeatsFlatBudget: on the guarded space the meta-loop reaches a
-// config at least as good as the flat GA while spending strictly fewer
-// evaluations.
+// TestMetaTuneBeatsFlatBudget: on the guarded space the meta-loop reaches
+// the optimum's basin while spending fewer evaluations than a single-run
+// GA's request, FlatCost, and than a plain Tune run actually spends.
 func TestMetaTuneBeatsFlatBudget(t *testing.T) {
-	var flatEvals int64
-	flatCfg, _ := Tune(Options{
+	var tuneEvals int64
+	tuneCfg, _ := Tune(Options{
 		Space: metaSpace(),
 		Eval: func(cfg *choice.Config) Result {
-			atomic.AddInt64(&flatEvals, 1)
+			atomic.AddInt64(&tuneEvals, 1)
 			return metaEval(cfg)
 		},
-		Population: 10, Generations: 8, Seed: 3, Flat: true,
+		Population: 10, Generations: 8, Seed: 3,
 	})
 
 	var metaEvals int64
@@ -118,15 +118,19 @@ func TestMetaTuneBeatsFlatBudget(t *testing.T) {
 			Population: 10, Generations: 8, Seed: 3,
 		},
 	})
-	if metaEvals >= flatEvals {
-		t.Fatalf("meta %d evals, flat %d — no reduction", metaEvals, flatEvals)
+	if flat := int64(FlatCost(10, 8)); metaEvals >= flat {
+		t.Fatalf("meta %d evals, FlatCost %d: no reduction", metaEvals, flat)
+	}
+	if metaEvals >= tuneEvals {
+		t.Fatalf("meta %d evals, Tune %d: no reduction", metaEvals, tuneEvals)
 	}
 	// Both must land in the guarded branch's basin (time well under the
 	// 10+ floor of the unguarded alternatives); exact ranking at a given
 	// budget is landscape noise, basin discovery is the property.
-	if metaEval(metaCfg).Time > 5 {
-		t.Fatalf("meta result %.3f missed the optimum branch (flat found %.3f)",
-			metaEval(metaCfg).Time, metaEval(flatCfg).Time)
+	for name, cfg := range map[string]*choice.Config{"meta": metaCfg, "tune": tuneCfg} {
+		if tm := metaEval(cfg).Time; tm > 5 {
+			t.Fatalf("%s result %.3f missed the optimum branch", name, tm)
+		}
 	}
 	if st.Trials < 1 {
 		t.Fatal("no trials recorded")

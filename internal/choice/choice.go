@@ -251,16 +251,6 @@ func (s *Space) DefaultConfig() *Config {
 // space carries a dependency graph, only live tunables are drawn; dead
 // genes keep their defaults so the draw samples the live subspace.
 func (s *Space) RandomConfig(r *rng.RNG) *Config {
-	return s.randomConfig(r, false)
-}
-
-// RandomConfigFlat draws ignoring the dependency graph (every tunable is
-// sampled) — the legacy flat-space behaviour, kept for A/B comparison.
-func (s *Space) RandomConfigFlat(r *rng.RNG) *Config {
-	return s.randomConfig(r, true)
-}
-
-func (s *Space) randomConfig(r *rng.RNG, flat bool) *Config {
 	c := s.DefaultConfig()
 	for i := range c.Selectors {
 		nAlts := len(s.Sites[i].Alternatives)
@@ -275,7 +265,7 @@ func (s *Space) randomConfig(r *rng.RNG, flat bool) *Config {
 		c.Selectors[i].normalize(s.MaxSelectorLevels, s.MaxCutoff, nAlts)
 	}
 	var live []bool
-	if !flat && s.HasDependencies() {
+	if s.HasDependencies() {
 		live = s.LiveGenes(c)
 	}
 	for i, t := range s.Tunables {

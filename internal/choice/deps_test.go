@@ -26,6 +26,16 @@ func depSpace() *Space {
 	return s
 }
 
+// randomAllGenes draws a random configuration and then redraws every
+// tunable, live or dead, so dead genes start off their defaults too.
+func randomAllGenes(s *Space, r *rng.RNG) *Config {
+	c := s.RandomConfig(r)
+	for i, t := range s.Tunables {
+		c.Values[i] = t.quantize(r.Range(t.Min, t.Max))
+	}
+	return c
+}
+
 func TestLiveGenes(t *testing.T) {
 	s := depSpace()
 	cases := []struct {
@@ -60,7 +70,7 @@ func TestLiveKeyConstantAcrossDeadGeneVariants(t *testing.T) {
 	r := rng.New(41)
 	varied := 0
 	for trial := 0; trial < 300; trial++ {
-		c := s.RandomConfigFlat(r)
+		c := randomAllGenes(s, r)
 		live := s.LiveGenes(c)
 		base := s.LiveKey(c)
 		for g, isLive := range live {
@@ -99,7 +109,7 @@ func TestLiveKeyInjectiveOnLiveGenes(t *testing.T) {
 	r := rng.New(43)
 	varied := 0
 	for trial := 0; trial < 300; trial++ {
-		c := s.Canonicalize(s.RandomConfigFlat(r))
+		c := s.Canonicalize(randomAllGenes(s, r))
 		live := s.LiveGenes(c)
 		base := s.LiveKey(c)
 		for g, isLive := range live {
@@ -133,7 +143,7 @@ func TestCanonicalizePreservesDecide(t *testing.T) {
 	s := depSpace()
 	r := rng.New(47)
 	for trial := 0; trial < 200; trial++ {
-		c := s.RandomConfigFlat(r)
+		c := randomAllGenes(s, r)
 		canon := s.Canonicalize(c)
 		if err := s.Validate(canon); err != nil {
 			t.Fatalf("trial %d: canonical config invalid: %v", trial, err)
@@ -153,7 +163,7 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 	s := depSpace()
 	r := rng.New(53)
 	for trial := 0; trial < 200; trial++ {
-		c := s.RandomConfigFlat(r)
+		c := randomAllGenes(s, r)
 		once := s.Canonicalize(c)
 		twice := s.Canonicalize(once)
 		if once.Key() != twice.Key() {

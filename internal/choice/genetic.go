@@ -31,15 +31,6 @@ func (w MutationWeights) isZero() bool {
 	return w == MutationWeights{}
 }
 
-// MutateOptions parameterise MutateWith.
-type MutateOptions struct {
-	// Weights overrides the operator mix; zero value = defaults.
-	Weights MutationWeights
-	// Flat ignores the dependency graph: tunable operators may touch dead
-	// genes, the legacy flat-space behaviour.
-	Flat bool
-}
-
 // Mutate returns a mutated copy of c with default options. One of several
 // mutation operators is applied, mirroring the PetaBricks autotuner's
 // structural mutations:
@@ -55,19 +46,19 @@ type MutateOptions struct {
 // only ever touch genes live under c's selectors. The result is always
 // valid with respect to the space.
 func (s *Space) Mutate(c *Config, r *rng.RNG) *Config {
-	return s.MutateWith(c, r, MutateOptions{})
+	return s.MutateWith(c, r, MutationWeights{})
 }
 
-// MutateWith is Mutate with an explicit operator mix and flatness flag.
-func (s *Space) MutateWith(c *Config, r *rng.RNG, mo MutateOptions) *Config {
-	w := mo.Weights
+// MutateWith is Mutate with an explicit operator mix; the zero value
+// selects DefaultMutationWeights.
+func (s *Space) MutateWith(c *Config, r *rng.RNG, w MutationWeights) *Config {
 	if w.isZero() {
 		w = DefaultMutationWeights()
 	}
 	out := c.Clone()
-	// Restrict tunable operators to the live subspace unless flat.
+	// Restrict tunable operators to the live subspace.
 	tunables := make([]int, 0, len(s.Tunables))
-	if !mo.Flat && s.HasDependencies() {
+	if s.HasDependencies() {
 		for i, l := range s.LiveGenes(out) {
 			if l {
 				tunables = append(tunables, i)
@@ -201,23 +192,11 @@ func (s *Space) deleteLevel(c *Config, r *rng.RNG) {
 	sel.Levels = append(sel.Levels[:l], sel.Levels[l+1:]...)
 }
 
-// CrossoverOptions parameterise CrossoverWith.
-type CrossoverOptions struct {
-	// Flat ignores the dependency graph (legacy behaviour): tunable
-	// recombination draws happen for dead genes too.
-	Flat bool
-}
-
 // Crossover returns a child combining a and b: uniform crossover over
 // selectors (whole-selector granularity) and tunables (blend or pick).
 // With a dependency graph, only genes live under the child's recombined
 // selectors are recombined; dead genes inherit a's values untouched.
 func (s *Space) Crossover(a, b *Config, r *rng.RNG) *Config {
-	return s.CrossoverWith(a, b, r, CrossoverOptions{})
-}
-
-// CrossoverWith is Crossover with an explicit flatness flag.
-func (s *Space) CrossoverWith(a, b *Config, r *rng.RNG, co CrossoverOptions) *Config {
 	child := a.Clone()
 	for i := range child.Selectors {
 		if r.Bool() {
@@ -228,7 +207,7 @@ func (s *Space) CrossoverWith(a, b *Config, r *rng.RNG, co CrossoverOptions) *Co
 		}
 	}
 	var live []bool
-	if !co.Flat && s.HasDependencies() {
+	if s.HasDependencies() {
 		live = s.LiveGenes(child)
 	}
 	for i := range child.Values {

@@ -37,27 +37,21 @@ type Options struct {
 	TunerPopulation  int
 	TunerGenerations int
 	// TunerBudget caps actual tuner evaluations per landmark; 0 selects
-	// the meta-tuner's self-tuned default (3/5 of the flat GA's request).
-	// The drift controller lowers this for cheap continuous retraining.
-	// Ignored under FlatTuner.
+	// the meta-tuner's self-tuned default (4/5 of autotuner.FlatCost, a
+	// single-run GA's request). The drift controller lowers this for
+	// cheap continuous retraining.
 	TunerBudget int
 	// TunerMetaTrials sets the self-tuning meta-loop's portfolio size
-	// (0 = default 3). Ignored under FlatTuner.
+	// (0 = default 3).
 	TunerMetaTrials int
-	// FlatTuner reverts to the single-run flat GA: no dependency-aware
-	// dedup, no self-tuning meta-loop, no evaluation budget. Kept as the
-	// A/B baseline the bench-smoke CI job compares against.
-	FlatTuner bool
 	// TuneSamples is the number of cluster members each landmark is tuned
-	// against (default 5; 3 under FlatTuner — the legacy baseline keeps
-	// its historical sampling so it byte-reproduces the BENCH_9
-	// trajectory): the tuner minimises the geometric-mean time and must
+	// against (default 5): the tuner minimises the geometric-mean time and must
 	// meet the accuracy threshold on EVERY sample. This mirrors
 	// PetaBricks' statistical accuracy guarantee ("meet the accuracy
 	// target with a given level of confidence") and keeps landmarks from
 	// sitting exactly on the accuracy boundary of a single input.
 	TuneSamples int
-	// MaxTreeDepth bounds the subset decision trees (default 12).
+	// MaxTreeDepth bounds the subset decision trees (default 6).
 	MaxTreeDepth int
 	// ValidationFraction of training inputs held out for production-
 	// classifier selection (default 0.3).
@@ -108,9 +102,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.TuneSamples <= 0 {
 		o.TuneSamples = 5
-		if o.FlatTuner {
-			o.TuneSamples = 3
-		}
 	}
 	if o.ValidationFraction <= 0 || o.ValidationFraction >= 1 {
 		o.ValidationFraction = 0.3
@@ -174,10 +165,10 @@ type Report struct {
 	// DeadGeneCollapses counts structurally new genomes the tuners
 	// collapsed onto an already-evaluated canonical representative via the
 	// choice space's dependency graph — evaluations saved before they were
-	// paid. Zero under FlatTuner or for spaces without dependencies.
+	// paid. Zero for spaces without dependencies.
 	DeadGeneCollapses int
 	// MetaTunerTrials sums the hyperparameter trials the self-tuning
-	// meta-loop ran across landmarks (zero under FlatTuner).
+	// meta-loop ran across landmarks.
 	MetaTunerTrials int
 	// Engine snapshots the shared measurement cache at the end of
 	// training. Excluded from model serialisation so that SaveModel output
@@ -203,7 +194,6 @@ type Report struct {
 	// SelectedFeatures names the features the production classifier may
 	// extract.
 	SelectedFeatures []string
-	Scores           []Score
 	NumCandidates    int
 }
 
@@ -282,7 +272,7 @@ func TrainModel(prog Program, inputs []Input, opts Options) *Model {
 	keyMemo := engine.NewKeyMemo()
 	canonKey := func(cfg *choice.Config) string {
 		full := cfg.Key()
-		if opts.FlatTuner || !space.HasDependencies() {
+		if !space.HasDependencies() {
 			return full
 		}
 		return keyMemo.Canonical(full, func() string { return space.LiveKey(cfg) })
@@ -331,19 +321,19 @@ func TrainModel(prog Program, inputs []Input, opts Options) *Model {
 			samples = []int{int(opts.Seed+uint64(c)) % len(inputs)}
 		}
 		// Per-sample weights for the time objective. Cluster landmarks
-		// under the dependency-aware tuner down-weight the fringe samples
+		// down-weight the fringe samples
 		// relative to the medoid (sample 0 — clusterSamples sorts
 		// medoid-first): the landmark should be the specialist for its
 		// cluster core, not a generalist across the fringe, or the landmark
 		// set collapses toward one configuration and input adaptation has
-		// nothing to choose between. The safety landmark (c == k1) and the
-		// flat A/B arm keep equal weights; the accuracy guard stays the
-		// minimum over ALL samples either way.
+		// nothing to choose between. The safety landmark (c == k1) keeps
+		// equal weights; the accuracy guard stays the minimum over ALL
+		// samples either way.
 		wts := make([]float64, len(samples))
 		wsum := 0.0
 		for i := range wts {
 			wts[i] = 1
-			if i > 0 && c != k1 && !opts.FlatTuner {
+			if i > 0 && c != k1 {
 				wts[i] = fringeWeight
 			}
 			wsum += wts[i]
@@ -377,25 +367,17 @@ func TrainModel(prog Program, inputs []Input, opts Options) *Model {
 			Generations:     opts.TunerGenerations,
 			Seed:            opts.Seed*1000003 + uint64(c),
 			Parallel:        opts.Parallel,
-			Flat:            opts.FlatTuner,
 		}
-		if opts.FlatTuner {
-			cfg, st := autotuner.Tune(topts)
-			landmarks[c] = cfg
-			evalsCh[c] = st.Evaluations
-			hitsCh[c] = st.CacheHits
-		} else {
-			cfg, mst := autotuner.MetaTune(autotuner.MetaOptions{
-				Options: topts,
-				Trials:  opts.TunerMetaTrials,
-				Budget:  opts.TunerBudget,
-			})
-			landmarks[c] = cfg
-			evalsCh[c] = mst.Evaluations
-			hitsCh[c] = mst.CacheHits
-			collapsesCh[c] = mst.DeadGeneCollapses
-			trialsCh[c] = mst.Trials
-		}
+		cfg, mst := autotuner.MetaTune(autotuner.MetaOptions{
+			Options: topts,
+			Trials:  opts.TunerMetaTrials,
+			Budget:  opts.TunerBudget,
+		})
+		landmarks[c] = cfg
+		evalsCh[c] = mst.Evaluations
+		hitsCh[c] = mst.CacheHits
+		collapsesCh[c] = mst.DeadGeneCollapses
+		trialsCh[c] = mst.Trials
 	})
 	for c := range evalsCh {
 		tunerEvals += evalsCh[c]
@@ -565,7 +547,6 @@ func TrainModel(prog Program, inputs []Input, opts Options) *Model {
 			RelabelFraction:   relabelFrac,
 			Production:        prod.Name,
 			SelectedFeatures:  selected,
-			Scores:            scores,
 			NumCandidates:     len(cands),
 		},
 	}

@@ -252,7 +252,6 @@ func TestControllerRetrainByteParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := serve.NewService(reg, serve.Options{})
-	defer svc.Close()
 
 	retrainOpts := core.Options{K1: 4, Seed: 7, TunerPopulation: 6, TunerGenerations: 4, Parallel: true}
 	var mu sync.Mutex
@@ -345,7 +344,6 @@ func TestControllerDisabledOnSummarylessModel(t *testing.T) {
 		t.Fatalf("summaryless artifact rejected: %v", err)
 	}
 	svc := serve.NewService(reg, serve.Options{})
-	defer svc.Close()
 	ctrl := drift.NewController(drift.Options{
 		Registry: reg,
 		Train:    trainOpts(),

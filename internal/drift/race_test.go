@@ -32,7 +32,6 @@ func TestConcurrentClassifyThroughRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := serve.NewService(reg, serve.Options{})
-	defer svc.Close()
 
 	// Every generation's artifact bytes, including the one serving before
 	// the run starts. Publish routes through the service hot-reload path.

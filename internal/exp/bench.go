@@ -39,8 +39,7 @@ type BenchResult struct {
 	// DeadGeneCollapses counts structurally new genomes the dependency-aware
 	// tuner collapsed onto an already-evaluated canonical representative —
 	// evaluations saved before they were paid. MetaTunerTrials sums the
-	// self-tuning portfolio trials across landmarks. Both are 0 under
-	// -flat-tuner, making the A/B arms distinguishable in the JSON.
+	// self-tuning portfolio trials across landmarks.
 	DeadGeneCollapses int `json:"dead_gene_collapses"`
 	MetaTunerTrials   int `json:"meta_tuner_trials"`
 
@@ -89,11 +88,8 @@ type BenchReport struct {
 	Workers  int    `json:"gomaxprocs"`
 	// CacheDisabled marks A/B runs through the escape hatch, so a
 	// -nocache report can never be mistaken for the real trajectory.
-	CacheDisabled bool `json:"cache_disabled"`
-	// FlatTuner marks -flat-tuner A/B runs (the legacy single-run GA) the
-	// same way, for the same reason.
-	FlatTuner bool          `json:"flat_tuner"`
-	Results   []BenchResult `json:"results"`
+	CacheDisabled bool          `json:"cache_disabled"`
+	Results       []BenchResult `json:"results"`
 	// DirectSolver is the dense-vs-FFT direct solver microbenchmark and
 	// FastDirect the PDE retraining arm with the opt-in fast-direct
 	// alternative (see fastdirect.go). Both are populated whenever a PDE
@@ -124,7 +120,6 @@ func RunBench(names []string, scaleName string, sc Scale, logf func(string, ...a
 		Parallel:      sc.Parallel,
 		Workers:       runtime.GOMAXPROCS(0),
 		CacheDisabled: sc.DisableCache,
-		FlatTuner:     sc.FlatTuner,
 	}
 	for _, name := range names {
 		c := BuildCase(name, sc)

@@ -32,9 +32,6 @@ type Scale struct {
 	TunerBudget int
 	// TunerMetaTrials sets the self-tuning portfolio length (0 = default).
 	TunerMetaTrials int
-	// FlatTuner reverts to the single-run flat GA — the A/B baseline the
-	// bench-smoke CI job compares dependency-aware search against.
-	FlatTuner bool
 }
 
 // measurementCache returns a fresh test-set measurement cache, or nil when
@@ -75,25 +72,26 @@ var CaseNames = []string{
 }
 
 // TunerProfile is a benchmark's evaluation-budget profile for the
-// dependency-aware self-tuning search: how much of the flat GA's
-// evaluation cost each landmark may spend, and how long the meta-loop's
-// hyperparameter portfolio is. Profiles are per benchmark because the
-// choice-space landscapes differ: smooth spaces (sorting cutoffs, solver
-// selectors with dead iteration genes) converge in a fraction of the flat
-// budget, while satisfaction-constrained spaces (clustering2) need a
-// longer portfolio to keep specialist landmarks feasible.
+// dependency-aware self-tuning search: how much of a single-run GA's
+// evaluation cost (autotuner.FlatCost) each landmark may spend, and how
+// long the meta-loop's hyperparameter portfolio is. Profiles are per
+// benchmark because the choice-space landscapes differ: smooth spaces
+// (sorting cutoffs, solver selectors with dead iteration genes) converge
+// in a fraction of that cost, while satisfaction-constrained spaces
+// (clustering2) need a longer portfolio to keep specialist landmarks
+// feasible.
 type TunerProfile struct {
 	// BudgetFrac multiplies autotuner.FlatCost(pop, gens) to give the
 	// per-landmark evaluation cap. Always < 1: the dependency-aware
-	// search must beat the flat GA on strictly fewer evaluations.
+	// search must spend strictly fewer evaluations than a single-run GA.
 	BudgetFrac float64
 	// MetaTrials is the portfolio length passed to autotuner.MetaTune.
 	MetaTrials int
 }
 
 // tunerProfiles maps case name → profile. The fractions were chosen on
-// the quick scale (see BENCH trajectory in README.md) and scale with the
-// flat cost at other scales.
+// the quick scale (see BENCH trajectory in README.md) and scale with
+// FlatCost at other scales.
 var tunerProfiles = map[string]TunerProfile{
 	"sort1":       {BudgetFrac: 0.17, MetaTrials: 1},
 	"sort2":       {BudgetFrac: 0.17, MetaTrials: 1},
@@ -111,12 +109,9 @@ func Profile(name string) TunerProfile { return tunerProfiles[name] }
 
 // resolveTuner returns the (budget, trials) pair for a case at a scale:
 // explicit Scale overrides win, then the per-benchmark profile, then the
-// meta-tuner defaults (0, 0). The flat tuner ignores both.
+// meta-tuner defaults (0, 0).
 func resolveTuner(name string, sc Scale) (budget, trials int) {
 	budget, trials = sc.TunerBudget, sc.TunerMetaTrials
-	if sc.FlatTuner {
-		return budget, trials
-	}
 	p := tunerProfiles[name]
 	if budget == 0 && p.BudgetFrac > 0 {
 		budget = int(p.BudgetFrac*float64(autotuner.FlatCost(sc.TunerPop, sc.TunerGens)) + 0.5)

@@ -212,7 +212,6 @@ func runClusterArm(scase *servedCase, n int, opts ClusterBenchOptions) (FleetArm
 			return FleetArmResult{}, err
 		}
 		svc := serve.NewService(reg, serve.Options{})
-		defer svc.Close()
 		replicas[i] = fleet.NewLocalReplica(fmt.Sprintf("replica-%d", i), svc)
 		rs[i] = replicas[i]
 	}

@@ -1,14 +1,30 @@
 package exp
 
 import (
+	"math"
 	"testing"
 
 	"inputtune/internal/benchmarks/helmholtz3d"
 	"inputtune/internal/benchmarks/poisson2d"
 	"inputtune/internal/benchmarks/sortbench"
+	"inputtune/internal/choice"
 	"inputtune/internal/core"
 	"inputtune/internal/rng"
 )
+
+// randomAllGenes draws a random configuration and then redraws every
+// tunable, live or dead, so dead genes start off their defaults too.
+func randomAllGenes(space *choice.Space, r *rng.RNG) *choice.Config {
+	c := space.RandomConfig(r)
+	for i, t := range space.Tunables {
+		v := r.Range(t.Min, t.Max)
+		if t.Kind == choice.IntKind {
+			v = math.Round(v)
+		}
+		c.Values[i] = v
+	}
+	return c
+}
 
 // TestDeadGeneMutationNeverChangesEvaluation is the end-to-end property
 // behind LiveKey-based dedup: for the real benchmark programs that declare
@@ -35,7 +51,7 @@ func TestDeadGeneMutationNeverChangesEvaluation(t *testing.T) {
 			r := rng.New(23)
 			varied := 0
 			for trial := 0; trial < 40; trial++ {
-				cfg := space.RandomConfigFlat(r)
+				cfg := randomAllGenes(space, r)
 				live := space.LiveGenes(cfg)
 				for g, isLive := range live {
 					if isLive {

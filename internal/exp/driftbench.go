@@ -217,7 +217,6 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 		return DriftBenchReport{}, err
 	}
 	svc := serve.NewService(reg, serve.Options{})
-	defer svc.Close()
 
 	// Capture every published generation's artifact for the offline label
 	// and quality checks; publishes go through the service hot-reload path.

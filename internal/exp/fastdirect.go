@@ -216,7 +216,7 @@ func RunFastDirectArm(names []string, sc Scale, logf func(string, ...any)) []Fas
 	for _, spec := range specs {
 		c, fastAlt := spec.c, spec.fastAlt
 		armSc := sc
-		if spec.budgetFrac > 0 && !sc.FlatTuner && sc.TunerBudget == 0 {
+		if spec.budgetFrac > 0 && sc.TunerBudget == 0 {
 			armSc.TunerBudget = int(spec.budgetFrac*float64(autotuner.FlatCost(sc.TunerPop, sc.TunerGens)) + 0.5)
 			armSc.TunerMetaTrials = spec.trials
 		}

@@ -276,7 +276,6 @@ func runServeArm(name string, sc *servedCase, wire serve.Wire, traced bool, opts
 		Cache:  serve.CacheOptions{Disable: opts.DisableDecisionCache},
 		Tracer: obs.New(obs.Options{SampleEvery: sampleEvery}),
 	})
-	defer svc.Close()
 	if _, err := svc.Load(sc.artifact); err != nil {
 		return ServeCaseResult{}, err
 	}

@@ -69,7 +69,6 @@ func RunCase(c Case, sc Scale, logf func(string, ...any)) *Table1Row {
 		TunerGenerations: sc.TunerGens,
 		TunerBudget:      budget,
 		TunerMetaTrials:  trials,
-		FlatTuner:        sc.FlatTuner,
 		H2:               h2,
 		Parallel:         sc.Parallel,
 		DisableCache:     sc.DisableCache,

@@ -118,10 +118,8 @@ func (r *LocalReplica) Metrics() (serve.MetricsSnapshot, error) {
 	return r.svc.MetricsSnapshot(), nil
 }
 
-func (r *LocalReplica) Close() error {
-	r.svc.Close()
-	return nil
-}
+// Close is a no-op: an in-process service holds nothing to release.
+func (r *LocalReplica) Close() error { return nil }
 
 // HTTPReplica reaches a remote inputtuned process over its HTTP API,
 // requests and decisions on the binary wire, health checks on ITH1.

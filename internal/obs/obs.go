@@ -100,16 +100,7 @@ func (t *Trace) Span(name string, start time.Time) {
 	if t == nil {
 		return
 	}
-	t.SpanAt(name, start, time.Now())
-}
-
-// SpanAt records a stage with explicit bounds (the batcher back-dates
-// batch_wait to the enqueue time).
-func (t *Trace) SpanAt(name string, start, end time.Time) {
-	if t == nil {
-		return
-	}
-	t.spans = append(t.spans, Span{Name: name, Start: start, End: end})
+	t.spans = append(t.spans, Span{Name: name, Start: start, End: time.Now()})
 }
 
 // Event records an instantaneous marker.

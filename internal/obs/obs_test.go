@@ -29,7 +29,6 @@ func TestNilSafety(t *testing.T) {
 	tc.SetBenchmark("sort")
 	tc.SetError(nil)
 	tc.Span("x", time.Now())
-	tc.SpanAt("x", time.Now(), time.Now())
 	tc.Event("x")
 	if tc.ID() != 0 || tc.Site() != "" {
 		t.Fatal("nil trace has identity")

@@ -1,7 +1,7 @@
 // Package serve is the deployment runtime: it turns trained models (the
 // SaveModel artifacts the training pipeline emits) into a concurrent
-// classification service with hot reload, a bounded decision cache, a
-// sharded batching layer and a metrics surface.
+// classification service with hot reload, a bounded decision cache and a
+// metrics surface.
 //
 // The layering, bottom to top:
 //
@@ -19,12 +19,7 @@
 //   - Service — the per-request path: resolve the model snapshot, extract
 //     features on a private cost.Meter (requests never share mutable
 //     state; see core.Model.Infer for the contract), consult the decision
-//     cache, predict, and record metrics.
-//   - Batcher — optional sharded worker/batching layer: requests are
-//     spread round-robin over shards, each shard drains its queue into
-//     small batches and classifies them on the shared engine.Pool, so a
-//     flood of HTTP goroutines degrades into bounded, batched work
-//     instead of unbounded concurrency.
+//     cache, predict, and record metrics, all on the caller's goroutine.
 //   - Handler — the stdlib net/http API served by cmd/inputtuned:
 //     POST /v1/classify (content-negotiated between the JSON envelope and
 //     the binary frame), POST /v1/reload, GET /v1/models, GET /metrics,

@@ -118,7 +118,6 @@ func stubService(t *testing.T, opts Options) (*Service, *stubProgram) {
 // zero.
 func TestDrainWaitsForInflight(t *testing.T) {
 	svc, _ := stubService(t, Options{})
-	defer svc.Close()
 
 	block := make(chan struct{})
 	started := make(chan struct{})
@@ -176,7 +175,6 @@ func TestDrainWaitsForInflight(t *testing.T) {
 // never completes makes Drain report context expiry rather than hang.
 func TestDrainExpiresOnStuckRequest(t *testing.T) {
 	svc, _ := stubService(t, Options{})
-	defer svc.Close()
 	block := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -195,7 +193,6 @@ func TestDrainExpiresOnStuckRequest(t *testing.T) {
 // replica-rejoin path depends on it).
 func TestDrainEndDrainReadmits(t *testing.T) {
 	svc, _ := stubService(t, Options{})
-	defer svc.Close()
 	svc.BeginDrain()
 	if _, err := svc.Classify("drainstub", &stubInput{v: 1}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("got %v, want ErrDraining", err)
@@ -211,7 +208,6 @@ func TestDrainEndDrainReadmits(t *testing.T) {
 // 503 + "draining" in both representations, classify answers 503.
 func TestHealthzDrainingHTTP(t *testing.T) {
 	svc, _ := stubService(t, Options{})
-	defer svc.Close()
 	srv := httptest.NewServer(NewHandler(svc))
 	defer srv.Close()
 
@@ -265,7 +261,6 @@ func TestGenerationSkewCacheRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewService(reg, Options{Cache: CacheOptions{Capacity: 64}})
-	defer svc.Close()
 
 	in := func() *stubInput { return &stubInput{v: 5} }
 	d1, err := svc.Classify("drainstub", in())

@@ -36,7 +36,7 @@ type Sample struct {
 
 // SampleObserver receives served-request samples. Implementations must be
 // safe for concurrent calls and must not block: they run on the
-// classification path (inline or on a shard worker).
+// classification path.
 type SampleObserver interface {
 	ObserveSample(Sample)
 }

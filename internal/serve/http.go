@@ -120,10 +120,9 @@ func NewHandler(svc *Service) http.Handler {
 					fmt.Errorf("this deployment does not accept %s", ContentTypeBinary))
 				return
 			}
-			// The frame streams straight off the socket: on sharded
-			// deployments all the way into the shard worker, which decodes
-			// and classifies in one pass — vectors land in pooled buffers
-			// exactly once, with no decode-then-channel hop.
+			// The frame streams straight off the socket into the service,
+			// which decodes and classifies in one pass: vectors land in
+			// pooled buffers exactly once.
 			d, err := svc.ClassifyBinaryTraced(io.LimitReader(r.Body, MaxRequestBytes), t)
 			if err != nil {
 				status := http.StatusServiceUnavailable

@@ -18,7 +18,6 @@ func newTestServer(t *testing.T) (*httptest.Server, *Service) {
 	svc := NewService(reg, Options{})
 	srv := httptest.NewServer(NewHandler(svc))
 	t.Cleanup(srv.Close)
-	t.Cleanup(svc.Close)
 	return srv, svc
 }
 

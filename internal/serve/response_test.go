@@ -96,7 +96,6 @@ func TestHTTPBinaryResponseNegotiation(t *testing.T) {
 	// Cache disabled so repeated requests report identical CacheHit — the
 	// comparison below covers every Decision field.
 	svc := NewService(reg, Options{Cache: CacheOptions{Disable: true}})
-	t.Cleanup(svc.Close)
 	srvURL := newLocalServer(t, svc)
 	codec, _ := LookupCodec("sort")
 	in := testModels.sortInputs[0]
@@ -165,7 +164,6 @@ func TestHTTPBinaryResponseNegotiation(t *testing.T) {
 func TestHTTPBinaryResponseRefusedWithoutWire(t *testing.T) {
 	reg := sortServiceRegistry(t)
 	svc := NewService(reg, Options{Wires: []Wire{WireJSON}})
-	t.Cleanup(svc.Close)
 	srv := newLocalServer(t, svc)
 
 	codec, _ := LookupCodec("sort")
@@ -191,15 +189,13 @@ func TestHTTPBinaryResponseRefusedWithoutWire(t *testing.T) {
 	}
 }
 
-// TestHTTPBinaryRequestBatched drives binary frames through a sharded
-// service, exercising the undecoded-frame handoff to shard workers:
-// every label must match the offline ground truth, and a malformed
-// frame must still come back as a 400 even though the decode failure
-// happens on a worker goroutine.
-func TestHTTPBinaryRequestBatched(t *testing.T) {
+// TestHTTPBinaryRequest posts binary frames over HTTP, where the frame
+// streams undecoded into the service: every label must match the offline
+// ground truth, and a malformed frame must come back as a 400 even though
+// its decode fails inside the service rather than in the handler.
+func TestHTTPBinaryRequest(t *testing.T) {
 	reg := sortServiceRegistry(t)
-	svc := NewService(reg, Options{Shards: 2, MaxBatch: 4})
-	t.Cleanup(svc.Close)
+	svc := NewService(reg, Options{})
 	srv := newLocalServer(t, svc)
 	want := offlineLabels(testModels.sortModel, testModels.sortInputs)
 

@@ -24,8 +24,8 @@ var ErrDraining = errors.New("serve: service is draining")
 // RequestError marks an error as the client's fault (a malformed or
 // unsupported request), so transports can map it to a 4xx status instead
 // of the 5xx reserved for serving failures. It matters on the binary
-// path, where decode happens inside the service (possibly on a shard
-// worker) rather than in the HTTP handler.
+// path, where decode happens inside the service rather than in the HTTP
+// handler.
 type RequestError struct{ Err error }
 
 func (e *RequestError) Error() string { return e.Err.Error() }
@@ -59,14 +59,6 @@ type Options struct {
 	// Cache configures the decision cache (capacity, the disable escape
 	// hatch, and the opt-in quantized key).
 	Cache CacheOptions
-	// Shards and MaxBatch configure the batching layer; Shards <= 0
-	// disables batching and classifies inline on the request goroutine.
-	Shards int
-	// MaxBatch bounds how many queued requests one shard drains into a
-	// single pool pass (default 16).
-	MaxBatch int
-	// Pool is the worker pool batches run on (nil selects engine.Default).
-	Pool *engine.Pool
 	// Wires restricts which request wire formats the HTTP layer accepts
 	// (nil or empty = all). A deployment pinned to -wire json keeps the
 	// PR-4 surface exactly.
@@ -93,7 +85,6 @@ type Service struct {
 	cache        *DecisionCache
 	quantizeBits int
 	metrics      *Metrics
-	batcher      *Batcher
 	wires        [2]bool
 	tracer       *obs.Tracer
 	traceSite    string
@@ -129,9 +120,6 @@ func NewService(reg *Registry, opts Options) *Service {
 	}
 	if opts.Observer != nil {
 		s.SetObserver(opts.Observer)
-	}
-	if opts.Shards > 0 {
-		s.batcher = NewBatcher(s, opts.Shards, opts.MaxBatch, opts.Pool)
 	}
 	return s
 }
@@ -171,13 +159,6 @@ func (s *Service) MetricsSnapshot() MetricsSnapshot {
 	return snap
 }
 
-// Close shuts down the batching layer (if any), draining queued requests.
-func (s *Service) Close() {
-	if s.batcher != nil {
-		s.batcher.Close()
-	}
-}
-
 // BeginDrain flips the service into draining mode: requests already past
 // admission run to completion, new ones are rejected with ErrDraining.
 // Idempotent and reversible via EndDrain (used by fault-injection tests
@@ -195,7 +176,7 @@ func (s *Service) Inflight() int64 { return s.inflight.Load() }
 
 // Drain begins a graceful drain and blocks until every in-flight request
 // has completed or ctx expires. On success the service is idle and can be
-// Closed without cutting off a response mid-write.
+// shut down without cutting off a response mid-write.
 func (s *Service) Drain(ctx context.Context) error {
 	s.BeginDrain()
 	for s.inflight.Load() != 0 {
@@ -225,8 +206,8 @@ func (s *Service) enter() error {
 // exit deregisters a request admitted by enter.
 func (s *Service) exit() { s.inflight.Add(-1) }
 
-// Classify answers one request, routing through the batching layer when
-// configured. It records request metrics including latency.
+// Classify answers one request on the caller's goroutine. It records
+// request metrics including latency.
 func (s *Service) Classify(benchmark string, in core.Input) (*Decision, error) {
 	return s.ClassifyTraced(benchmark, in, nil)
 }
@@ -240,27 +221,16 @@ func (s *Service) ClassifyTraced(benchmark string, in core.Input, t *obs.Trace) 
 	defer s.exit()
 	start := time.Now()
 	t.SetBenchmark(benchmark)
-	var d *Decision
-	var err error
-	if s.batcher != nil {
-		d, err = s.batcher.Classify(benchmark, in, t, start)
-	} else {
-		d, err = s.classifyNow(benchmark, in, t)
-	}
+	d, err := s.classifyNow(benchmark, in, t)
 	hit := d != nil && d.CacheHit
 	s.metrics.ObserveRequest(benchmark, time.Since(start), hit, err)
 	return d, err
 }
 
 // ClassifyBinary answers one binary-framed request, streaming the frame
-// off r directly. When batching is configured, the UNDECODED frame rides
-// the shard queue and the shard worker performs the decode — vectors land
-// in pooled buffers exactly once, on the goroutine that consumes them,
-// with no decode-then-channel hop on the request goroutine. That is
-// sound because the request goroutine blocks right here until its result
-// lands, keeping r (typically an http.Request body) valid for the
-// worker's whole read. Decode failures come back wrapped in
-// *RequestError; metrics are attributed to the decoded benchmark name
+// off r directly: decode and classification run in one pass, so vectors
+// land in pooled buffers exactly once. Decode failures come back wrapped
+// in *RequestError; metrics are attributed to the decoded benchmark name
 // and skipped when the frame never identified one.
 func (s *Service) ClassifyBinary(r io.Reader) (*Decision, error) {
 	return s.ClassifyBinaryTraced(r, nil)
@@ -278,15 +248,7 @@ func (s *Service) ClassifyBinaryTraced(r io.Reader, t *obs.Trace) (*Decision, er
 	}
 	defer s.exit()
 	start := time.Now()
-	var d *Decision
-	var benchmark string
-	var err error
-	var joined *obs.Trace
-	if s.batcher != nil {
-		d, benchmark, joined, err = s.batcher.ClassifyFrame(r, t, start)
-	} else {
-		d, benchmark, joined, err = s.classifyFrame(r, t)
-	}
+	d, benchmark, joined, err := s.classifyFrame(r, t)
 	if joined != nil && joined != t {
 		joined.SetError(err)
 		s.tracer.Finish(joined)
@@ -299,12 +261,11 @@ func (s *Service) ClassifyBinaryTraced(r io.Reader, t *obs.Trace) (*Decision, er
 }
 
 // classifyFrame decodes one binary frame and classifies it in the same
-// pass (the batcher's shard workers call it too). The benchmark name is
-// returned even when classification fails — it is known once the header
-// decodes — so callers can attribute metrics. The returned trace is t,
-// or a fresh record joining the frame's ITX1 trace context when t was
-// nil and the service has a tracer; such a record belongs to the caller
-// chain that detects joined != t.
+// pass. The benchmark name is returned even when classification fails —
+// it is known once the header decodes — so callers can attribute metrics.
+// The returned trace is t, or a fresh record joining the frame's ITX1
+// trace context when t was nil and the service has a tracer; such a
+// record belongs to the caller chain that detects joined != t.
 func (s *Service) classifyFrame(r io.Reader, t *obs.Trace) (*Decision, string, *obs.Trace, error) {
 	var t0 time.Time
 	if t != nil || s.tracer != nil {
@@ -326,12 +287,11 @@ func (s *Service) classifyFrame(r io.Reader, t *obs.Trace) (*Decision, string, *
 	return d, c.Name, t, cerr
 }
 
-// classifyNow is the inline classification path (the batcher's workers
-// call it too). All per-request mutable state — the meter, the feature
-// row (drawn from the shared buffer pool and returned before the call
-// ends) — is private to the call; the model snapshot is resolved once and
-// used throughout, so a concurrent hot-reload never splits a request
-// across two models.
+// classifyNow is the classification path. All per-request mutable
+// state — the meter, the feature row (drawn from the shared buffer pool
+// and returned before the call ends) — is private to the call; the model
+// snapshot is resolved once and used throughout, so a concurrent
+// hot-reload never splits a request across two models.
 func (s *Service) classifyNow(benchmark string, in core.Input, t *obs.Trace) (*Decision, error) {
 	var ct time.Time
 	if t != nil {

@@ -124,7 +124,6 @@ func TestWireRestriction(t *testing.T) {
 			t.Fatalf("healthz wires = %v, want [%s]", h.Wires, tc.accept)
 		}
 		srv.Close()
-		svc.Close()
 	}
 }
 
