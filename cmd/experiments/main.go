@@ -10,13 +10,6 @@
 //	experiments bench                perf trajectory: wall-clock, per-phase
 //	                                 training breakdown, evaluations, cache
 //	                                 hit-rate per benchmark (BENCH_1.json)
-//	experiments serve-bench          serving-side trajectory: train, serve
-//	                                 over loopback HTTP, drive with
-//	                                 concurrent clients + hot reloads —
-//	                                 one arm per wire format (the JSON vs
-//	                                 binary A/B) — and merge throughput/
-//	                                 p50/p99/allocs into the bench JSON's
-//	                                 "serve" section
 //	experiments cluster-bench        multi-replica fleet arm: stand up a
 //	                                 replicas x clients grid behind the
 //	                                 consistent-hash router, kill and
@@ -36,7 +29,7 @@
 //	                                 "drift" section
 //	experiments classify             wire-level client for a running
 //	                                 inputtuned: encode -data in -wire
-//	                                 json|binary and POST /v1/classify
+//	                                 binary|json and POST /v1/classify
 //	                                 (the binary frame's curl)
 //	experiments all                  everything above except bench
 //
@@ -81,14 +74,10 @@ func main() {
 	verbose := fs.Bool("v", false, "log training progress")
 	benchJSON := fs.String("json", "", "bench: output path for the JSON report (default BENCH_latest.json, or BENCH_latest.nocache.json with -nocache)")
 	noCache := fs.Bool("nocache", false, "disable the measurement cache (A/B escape hatch; any subcommand)")
-	clients := fs.Int("clients", 8, "serve-bench: concurrent load-generator clients")
-	requests := fs.Int("requests", 2000, "serve-bench: total requests per case and wire")
-	reloads := fs.Int("reloads", 2, "serve-bench: hot reloads fired mid-run")
-	traceArm := fs.Bool("trace-arm", true, "serve-bench: add a fully-traced binary arm recording tracing's overhead delta")
-	wire := fs.String("wire", "both", "serve-bench: wire formats to drive (json, binary, or both); classify: request format")
+	clients := fs.Int("clients", 0, "cluster-bench, drift-bench: concurrent load-generator clients (0 = default 8)")
+	requests := fs.Int("requests", 2000, "cluster-bench: total requests per arm")
+	wire := fs.String("wire", "binary", "classify: request format (binary or json)")
 	replicasFlag := fs.String("replicas", "1,2,4", "cluster-bench: comma-separated fleet-size grid")
-	kill := fs.Bool("kill", true, "cluster-bench: inject a replica kill+restart mid-run on multi-replica arms")
-	shardQuantize := fs.Int("shard-quantize", 8, "cluster-bench: fingerprint quantization bits for consistent-hash sharding")
 	preReq := fs.Int("pre", 0, "drift-bench: pre-shift in-distribution requests (0 = default 512)")
 	shiftReq := fs.Int("shift", 0, "drift-bench: shifted-traffic request budget (0 = default 2048)")
 	postReq := fs.Int("post", 0, "drift-bench: post-retrain requests (0 = default 512)")
@@ -160,47 +149,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "classify: %v\n", err)
 			os.Exit(1)
 		}
-	case "serve-bench":
-		path := *benchJSON
-		if path == "" {
-			path = "BENCH_latest.json"
-		}
-		var cases []string
-		if *caseName != "" {
-			cases = []string{*caseName}
-		}
-		wires, err := parseWires(*wire)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve-bench: %v\n", err)
-			os.Exit(2)
-		}
-		sb, err := exp.RunServeBench(exp.ServeBenchOptions{
-			Cases:                cases,
-			Wires:                wires,
-			Clients:              *clients,
-			Requests:             *requests,
-			Reloads:              *reloads,
-			DisableDecisionCache: *noCache,
-			TraceArm:             *traceArm,
-			Scale:                sc,
-			Logf:                 logf,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(exp.RenderServeBench(sb))
-		for _, res := range sb.Results {
-			if res.FailedRequests != 0 {
-				fmt.Fprintf(os.Stderr, "serve-bench: %d failed requests on %s\n", res.FailedRequests, res.Case)
-				os.Exit(1)
-			}
-		}
-		if err := exp.MergeServeIntoBench(path, sb); err != nil {
-			fmt.Fprintf(os.Stderr, "merge into %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "merged serve section into %s\n", path)
 	case "cluster-bench":
 		path := *benchJSON
 		if path == "" {
@@ -212,14 +160,12 @@ func main() {
 			os.Exit(2)
 		}
 		fb, err := exp.RunClusterBench(exp.ClusterBenchOptions{
-			Case:         *caseName,
-			Replicas:     grid,
-			Clients:      *clients,
-			Requests:     *requests,
-			Kill:         *kill,
-			QuantizeBits: *shardQuantize,
-			Scale:        sc,
-			Logf:         logf,
+			Case:     *caseName,
+			Replicas: grid,
+			Clients:  *clients,
+			Requests: *requests,
+			Scale:    sc,
+			Logf:     logf,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cluster-bench: %v\n", err)
@@ -230,7 +176,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cluster-bench: failed requests or label mismatches — the fleet did not absorb the fault")
 			os.Exit(1)
 		}
-		if err := exp.MergeFleetIntoBench(path, fb); err != nil {
+		if err := exp.MergeIntoBench(path, func(r *exp.BenchReport) { r.Fleet = &fb }); err != nil {
 			fmt.Fprintf(os.Stderr, "merge into %s: %v\n", path, err)
 			os.Exit(1)
 		}
@@ -263,7 +209,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "drift-bench: the drift loop never closed")
 			os.Exit(1)
 		}
-		if err := exp.MergeDriftIntoBench(path, db); err != nil {
+		if err := exp.MergeIntoBench(path, func(r *exp.BenchReport) { r.Drift = &db }); err != nil {
 			fmt.Fprintf(os.Stderr, "merge into %s: %v\n", path, err)
 			os.Exit(1)
 		}
@@ -357,18 +303,6 @@ func parseReplicas(s string) ([]int, error) {
 	return grid, nil
 }
 
-// parseWires resolves the serve-bench -wire flag.
-func parseWires(s string) ([]serve.Wire, error) {
-	if s == "" || s == "both" {
-		return []serve.Wire{serve.WireJSON, serve.WireBinary}, nil
-	}
-	w, err := serve.ParseWire(s)
-	if err != nil {
-		return nil, err
-	}
-	return []serve.Wire{w}, nil
-}
-
 // runClassify is a tiny wire-level client for a running inputtuned: it
 // encodes the given vector in the chosen format (curl cannot speak the
 // binary frame; this can) and prints the server's Decision JSON. Only the
@@ -394,9 +328,6 @@ func runClassify(addr, benchmark, wireName, data string) error {
 	default:
 		return fmt.Errorf("classify supports the vector benchmarks sort and binpacking, not %q", benchmark)
 	}
-	// The flag's default "both" exists for serve-bench; a single POST must
-	// name one format explicitly, or a user checking the binary path could
-	// silently exercise JSON instead.
 	w, err := serve.ParseWire(wireName)
 	if err != nil {
 		return fmt.Errorf("classify needs -wire json or -wire binary: %w", err)
@@ -481,7 +412,7 @@ func writeFile(dir, name, content string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: experiments <table1|fig6|fig7|fig8|ablation|bench|serve-bench|cluster-bench|drift-bench|classify|all> [flags]
+	fmt.Fprintln(os.Stderr, `usage: experiments <table1|fig6|fig7|fig8|ablation|bench|cluster-bench|drift-bench|classify|all> [flags]
 flags:
   -scale quick|default   workload scale (default "default")
   -case NAME             single test: sort1 sort2 clustering1 clustering2
@@ -497,34 +428,21 @@ flags:
   -nocache               disable the engine's memoized measurement cache
                          (any subcommand). A/B escape hatch: results are
                          byte-identical with the cache on or off; only
-                         wall-clock and the cache counters change. For
-                         serve-bench it disables the server's decision
-                         cache instead — labels are identical either way
-  -clients N             serve-bench: concurrent clients (default 8)
-  -requests N            serve-bench: total requests per case and wire
-                         (default 2000)
-  -reloads N             serve-bench: hot reloads spaced through the run
-                         (default 2; 0 = no-reload baseline); every reload
-                         must complete with zero failed requests or the
-                         run exits nonzero
-  -trace-arm             serve-bench: add a binary arm with every request
-                         traced (default true); the report records the
-                         throughput delta vs the untraced binary arm
-  -wire FORMAT           serve-bench: json, binary, or both (default both —
-                         one load arm per format, the JSON-vs-binary A/B);
-                         classify: the wire format — binary sends a binary
-                         request frame AND negotiates the ITD1 binary
-                         response, decoded and printed as Decision JSON
+                         wall-clock and the cache counters change
+  -clients N             cluster-bench, drift-bench: concurrent
+                         closed-loop clients (default 8)
+  -requests N            cluster-bench: total requests per arm (default
+                         2000)
+  -wire FORMAT           classify: binary (default) or json — binary sends
+                         a binary request frame AND negotiates the ITD1
+                         binary response, decoded and printed as Decision
+                         JSON
   -replicas LIST         cluster-bench: comma-separated fleet-size grid
                          (default "1,2,4"; the 1-replica arm is the
-                         scaling baseline)
-  -kill BOOL             cluster-bench: inject a replica kill at ~35% and
-                         a restart at ~70% of the run on every
-                         multi-replica arm (default true); zero failed
-                         requests through the outage or exit nonzero
-  -shard-quantize N      cluster-bench: feature-fingerprint quantization
-                         bits for consistent-hash sharding (default 8);
-                         replica decision caches stay exact regardless
+                         no-fault scaling baseline, every other arm has a
+                         replica killed at ~35% and restarted at ~70% of
+                         the run, with zero failed requests through the
+                         outage or exit nonzero)
   -pre N                 drift-bench: pre-shift in-distribution requests
                          (default 512); the detector must stay quiet here
   -shift N               drift-bench: shifted-traffic budget (default 2048);

@@ -97,11 +97,6 @@ type BenchReport struct {
 	// shared results stay comparable across trajectory snapshots.
 	DirectSolver []DirectSolverRow `json:"direct_solver,omitempty"`
 	FastDirect   []FastDirectCase  `json:"fast_direct,omitempty"`
-	// Serve is the deployment-side half of the trajectory: throughput and
-	// latency of the classification server under concurrent load, written
-	// by `experiments serve-bench` (which merges into an existing bench
-	// file). Omitted until that runs.
-	Serve *ServeBenchReport `json:"serve,omitempty"`
 	// Fleet is the multi-replica arm of the serving trajectory: scaling
 	// and fault tolerance of the consistent-hash fleet under load with an
 	// injected replica kill, written by `experiments cluster-bench`.

@@ -1,16 +1,10 @@
 package exp
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
-	"os"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,19 +26,12 @@ type ClusterBenchOptions struct {
 	// (default 8).
 	Clients int
 	// Requests is the total request budget per arm, split over the
-	// clients (default 2000).
+	// clients and rounded down to a multiple of them (default 2000).
+	// Every arm with more than one replica loses one replica once ~35% of
+	// the traffic has completed and gets it back at ~70%; the acceptance
+	// criterion is zero failed requests across the outage. The 1-replica
+	// arm is the no-fault baseline.
 	Requests int
-	// Kill injects a replica failure mid-run on every arm with more than
-	// one replica: one replica goes down once ~35% of the traffic has
-	// completed and comes back at ~70%. The acceptance criterion is zero
-	// failed requests across the outage — the router must absorb the kill
-	// with retries and ejection. Default true (disable with -kill=false).
-	Kill bool
-	// QuantizeBits is the router's feature-fingerprint quantization for
-	// consistent-hash sharding (default 8). Replica decision caches stay
-	// exact regardless — this knob only controls how aggressively nearby
-	// inputs collapse onto the same replica.
-	QuantizeBits int
 	// Scale sets the training budget for the served model.
 	Scale Scale
 	// Logf, when non-nil, receives progress lines.
@@ -59,18 +46,21 @@ func (o *ClusterBenchOptions) setDefaults() {
 		o.Replicas = []int{1, 2, 4}
 	}
 	if o.Clients <= 0 {
-		o.Clients = 8
+		o.Clients = defaultClients
 	}
 	if o.Requests <= 0 {
 		o.Requests = 2000
-	}
-	if o.QuantizeBits <= 0 {
-		o.QuantizeBits = 8
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
 }
+
+// shardQuantizeBits is the router's feature-fingerprint quantization for
+// consistent-hash sharding, the default of inputtuned -shard-quantize.
+// Replica decision caches stay exact regardless; it only controls how
+// aggressively nearby inputs collapse onto the same replica.
+const shardQuantizeBits = 8
 
 // FleetReplicaStats is one replica's share of an arm, scraped from the
 // fleet roll-up after the load completes.
@@ -137,8 +127,9 @@ type FleetBenchReport struct {
 // RunClusterBench trains one model, then for each fleet size stands up
 // that many in-process replicas behind a consistent-hash router fronted
 // by a real loopback HTTP server, and drives the fleet with concurrent
-// binary-wire clients — killing and restarting a replica mid-run when
-// Kill is set. Every decision is checked against the offline classifier.
+// binary-wire clients, killing and restarting a replica mid-run on every
+// multi-replica arm. Every decision is checked against the offline
+// classifier.
 func RunClusterBench(opts ClusterBenchOptions) (FleetBenchReport, error) {
 	opts.setDefaults()
 	scase, err := newServedCase("cluster-bench", opts.Case, opts.Scale, opts.Logf)
@@ -150,8 +141,8 @@ func RunClusterBench(opts ClusterBenchOptions) (FleetBenchReport, error) {
 		Benchmark:    scase.c.Prog.Name(),
 		Clients:      opts.Clients,
 		Requests:     opts.Requests,
-		QuantizeBits: opts.QuantizeBits,
-		KillInjected: opts.Kill,
+		QuantizeBits: shardQuantizeBits,
+		KillInjected: true,
 	}
 	rep.SingleCore, rep.Note = singleCoreCaveat(
 		"GOMAXPROCS=1: replicas share one core, so speedup_over_single_x measures routing overhead, not parallel scaling")
@@ -193,7 +184,7 @@ func (r FleetBenchReport) Failed() bool {
 
 func runClusterArm(scase *servedCase, n int, opts ClusterBenchOptions) (FleetArmResult, error) {
 	logf := opts.Logf
-	bodies, contentType, err := encodeBodies(scase, serve.WireBinary)
+	bodies, err := encodeBodies(scase.c.Prog.Name(), scase.c.Test)
 	if err != nil {
 		return FleetArmResult{}, err
 	}
@@ -216,7 +207,7 @@ func runClusterArm(scase *servedCase, n int, opts ClusterBenchOptions) (FleetArm
 		rs[i] = replicas[i]
 	}
 	rt := fleet.NewRouter(rs, fleet.Options{
-		QuantizeBits:   opts.QuantizeBits,
+		QuantizeBits:   shardQuantizeBits,
 		HealthInterval: 2 * time.Millisecond,
 	})
 	defer rt.Close(context.Background())
@@ -225,56 +216,20 @@ func runClusterArm(scase *servedCase, n int, opts ClusterBenchOptions) (FleetArm
 	client := srv.Client()
 	client.Timeout = 60 * time.Second
 
-	perClient := opts.Requests / opts.Clients
-	if perClient < 1 {
-		perClient = 1
-	}
-	total := perClient * opts.Clients
-	kill := opts.Kill && n > 1
+	total := max(opts.Requests/opts.Clients, 1) * opts.Clients
+	kill := n > 1
 	logf("[cluster-bench %dx] %d clients x %d requests, kill mid-run: %v",
-		n, opts.Clients, perClient, kill)
+		n, opts.Clients, total/opts.Clients, kill)
 
-	latencies := make([][]time.Duration, opts.Clients)
-	var failed, mismatched atomic.Uint64
 	var completed atomic.Uint64
-	var wg sync.WaitGroup
+	var recs []served
+	var failed int
+	loadDone := make(chan struct{})
 	start := time.Now()
-	for g := 0; g < opts.Clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			lat := make([]time.Duration, 0, perClient)
-			for r := 0; r < perClient; r++ {
-				i := (g*perClient + r) % len(bodies)
-				t0 := time.Now()
-				req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/classify", bytes.NewReader(bodies[i]))
-				if err != nil {
-					failed.Add(1)
-					completed.Add(1)
-					continue
-				}
-				req.Header.Set("Content-Type", contentType)
-				req.Header.Set("Accept", serve.ContentTypeBinary)
-				resp, err := client.Do(req)
-				if err != nil {
-					failed.Add(1)
-					completed.Add(1)
-					continue
-				}
-				d, err := serve.DecodeBinaryDecision(resp.Body)
-				resp.Body.Close()
-				lat = append(lat, time.Since(t0))
-				completed.Add(1)
-				switch {
-				case err != nil || resp.StatusCode != http.StatusOK:
-					failed.Add(1)
-				case d.Landmark != scase.want[i]:
-					mismatched.Add(1)
-				}
-			}
-			latencies[g] = lat
-		}(g)
-	}
+	go func() {
+		defer close(loadDone)
+		recs, failed = drive(client, srv.URL, bodies, total, opts.Clients, &completed)
+	}()
 	// The injected fault: one replica refuses all connections once ~35% of
 	// the traffic has completed and recovers at ~70% — long enough for the
 	// health loop to eject it and readmit it with load still running.
@@ -293,35 +248,30 @@ func runClusterArm(scase *servedCase, n int, opts ClusterBenchOptions) (FleetArm
 		victim.SetDown(false)
 		logf("[cluster-bench %dx] restarted %s at %d/%d requests", n, victim.Name(), completed.Load(), total)
 	}
-	wg.Wait()
+	<-loadDone
 	wall := time.Since(start)
 
-	var all []time.Duration
-	for _, lat := range latencies {
-		all = append(all, lat...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a] < all[b] })
-	q := func(p float64) float64 {
-		if len(all) == 0 {
-			return 0
+	mismatched := 0
+	for _, r := range recs {
+		if r.label != scase.want[r.idx%len(scase.want)] {
+			mismatched++
 		}
-		return float64(all[int(p*float64(len(all)-1))].Nanoseconds()) / 1e3
 	}
-
+	q := latencyQuantiles(recs, 0.50, 0.99)
 	snap := rt.Snapshot()
 	arm := FleetArmResult{
 		Replicas:          n,
 		Requests:          total,
-		FailedRequests:    int(failed.Load()),
-		LabelMismatches:   int(mismatched.Load()),
+		FailedRequests:    failed,
+		LabelMismatches:   mismatched,
 		Kills:             kills,
 		Retries:           snap.Router.Retries,
 		Ejections:         snap.Router.Ejections,
 		Readmissions:      snap.Router.Readmissions,
 		WallSeconds:       wall.Seconds(),
 		ThroughputRPS:     float64(total) / wall.Seconds(),
-		P50Micros:         q(0.50),
-		P99Micros:         q(0.99),
+		P50Micros:         q[0],
+		P99Micros:         q[1],
 		FleetCacheHitRate: snap.FleetHitRate,
 	}
 	for _, r := range snap.Replicas {
@@ -356,24 +306,4 @@ func RenderClusterBench(r FleetBenchReport) string {
 			arm.Kills, arm.Ejections, arm.Retries, 100*arm.FleetCacheHitRate)
 	}
 	return b.String()
-}
-
-// MergeFleetIntoBench folds a cluster-bench report into the BENCH
-// trajectory file at path, replacing only the "fleet" section (the
-// training and serve sections are kept when the file exists).
-func MergeFleetIntoBench(path string, fb FleetBenchReport) error {
-	var rep BenchReport
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return fmt.Errorf("existing %s is not a bench report: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	rep.Fleet = &fb
-	data, err := rep.BenchJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -2,12 +2,9 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -24,8 +21,7 @@ import (
 // benchmark.
 type DriftBenchOptions struct {
 	// Clients is the number of concurrent load-generator clients
-	// (default 4 — the drift loop shares the machine with a background
-	// retrain, so the load arm stays modest).
+	// (default 8).
 	Clients int
 	// PreRequests is the pre-shift tranche: in-distribution traffic that
 	// must leave the detector quiet (default 512).
@@ -62,7 +58,7 @@ type DriftBenchOptions struct {
 
 func (o *DriftBenchOptions) setDefaults() {
 	if o.Clients <= 0 {
-		o.Clients = 4
+		o.Clients = defaultClients
 	}
 	if o.PreRequests <= 0 {
 		o.PreRequests = 512
@@ -167,15 +163,6 @@ func (r DriftBenchReport) Failed() bool {
 	return false
 }
 
-// driftPhaseRecord is one served request's outcome, kept for the offline
-// quality evaluation after the run.
-type driftPhaseRecord struct {
-	idx   int // index into the phase's input slice
-	gen   uint64
-	label int
-	lat   time.Duration
-}
-
 // RunDriftBench closes the full loop end to end over a real loopback HTTP
 // server: train on distribution A, serve A-traffic (detector quiet), shift
 // the live traffic to distribution B (detector fires, the controller
@@ -271,10 +258,11 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 	// detector must stay quiet.
 	preIn := driftSortInputs(sortbench.MixOptions{Count: opts.PreRequests, Seed: sc.Seed + 20011, MaxSize: 512})
 	logf("[drift-bench] pre-shift phase: %d in-distribution requests", len(preIn))
-	preRecs, preFailed, err := driveDriftPhase(srv.URL, client, preIn, opts.Clients, nil)
+	preBodies, err := encodeBodies("sort", preIn)
 	if err != nil {
 		return rep, fmt.Errorf("pre-shift phase: %w", err)
 	}
+	preRecs, preFailed := drive(client, srv.URL, preBodies, len(preIn), opts.Clients, nil)
 	if st := ctrl.Status()["sort"]; st.Drifted {
 		return rep, fmt.Errorf("drift-bench: detector fired on in-distribution traffic (effect %.3f, tv %.3f) — calibration broken", st.EffectSize, st.AssignTV)
 	}
@@ -306,21 +294,16 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 			}
 		}
 	}()
-	shiftRecs, shiftFailed, err := driveDriftPhase(srv.URL, client, shiftIn, opts.Clients, &completed)
+	shiftBodies, err := encodeBodies("sort", shiftIn)
 	if err != nil {
 		return rep, fmt.Errorf("shift phase: %w", err)
 	}
-	// Keep traffic flowing in bounded extra tranches until the retrain
-	// publishes: the loop closes on live traffic, not on an idle server.
+	shiftRecs, shiftFailed := drive(client, srv.URL, shiftBodies, len(shiftIn), opts.Clients, &completed)
+	// Keep traffic flowing in bounded extra tranches (the first 256
+	// shifted inputs again) until the retrain publishes: the loop closes
+	// on live traffic, not on an idle server.
 	for extra := 0; ctrl.Retrains("sort") == 0 && extra < 20; extra++ {
-		tranche := shiftIn
-		if len(tranche) > 256 {
-			tranche = tranche[:256]
-		}
-		recs, failed, err := driveDriftPhase(srv.URL, client, tranche, opts.Clients, &completed)
-		if err != nil {
-			return rep, fmt.Errorf("shift phase (extra tranche %d): %w", extra, err)
-		}
+		recs, failed := drive(client, srv.URL, shiftBodies, min(len(shiftIn), 256), opts.Clients, &completed)
 		shiftRecs = append(shiftRecs, recs...)
 		shiftFailed += failed
 		ctrlStatus := ctrl.Status()["sort"]
@@ -350,10 +333,11 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 	// the retrained generation.
 	postIn := driftSortInputs(sortbench.MixOptions{Count: opts.PostRequests, Seed: sc.Seed + 40031, RealLike: true, MinSize: 1024, MaxSize: 2048})
 	logf("[drift-bench] post-retrain phase: %d shifted requests on the new model", len(postIn))
-	postRecs, postFailed, err := driveDriftPhase(srv.URL, client, postIn, opts.Clients, nil)
+	postBodies, err := encodeBodies("sort", postIn)
 	if err != nil {
 		return rep, fmt.Errorf("post-retrain phase: %w", err)
 	}
+	postRecs, postFailed := drive(client, srv.URL, postBodies, len(postIn), opts.Clients, nil)
 	snap, _ := reg.Get("sort")
 	rep.GenerationEnd = snap.Generation
 
@@ -374,7 +358,7 @@ func RunDriftBench(opts DriftBenchOptions) (DriftBenchReport, error) {
 	logf("[drift-bench] scoring %d+%d+%d responses across %d generations",
 		len(preRecs), len(shiftRecs), len(postRecs), len(models))
 	rep.Phases = summarizeDriftPhases(models, preIn, preRecs, preFailed, shiftIn, shiftRecs, shiftFailed, postIn, postRecs, postFailed)
-	scoreDriftPhases(rep.Phases, models, [][]core.Input{preIn, shiftIn, postIn}, [][]driftPhaseRecord{preRecs, shiftRecs, postRecs})
+	scoreDriftPhases(rep.Phases, models, [][]core.Input{preIn, shiftIn, postIn}, [][]served{preRecs, shiftRecs, postRecs})
 
 	pre, shifted, post := rep.Phases[0], rep.Phases[1], rep.Phases[2]
 	rep.QualityRecovered = post.MeanSlowdown <= pre.MeanSlowdown*1.15 && post.MeanSlowdown <= shifted.MeanSlowdown
@@ -392,103 +376,26 @@ func driftSortInputs(o sortbench.MixOptions) []core.Input {
 	return out
 }
 
-// driveDriftPhase pushes every input through /v1/classify once over the
-// binary wire with the given client concurrency, recording the serving
-// generation, label and latency per response. completed, when non-nil, is
-// bumped per finished request for the shift-phase monitor.
-func driveDriftPhase(url string, client *http.Client, inputs []core.Input, clients int, completed *atomic.Uint64) ([]driftPhaseRecord, int, error) {
-	bodies := make([][]byte, len(inputs))
-	for i, in := range inputs {
-		var buf bytes.Buffer
-		if err := serve.EncodeBinaryRequest(&buf, "sort", in); err != nil {
-			return nil, 0, err
-		}
-		bodies[i] = buf.Bytes()
-	}
-	perClient := len(bodies) / clients
-	if perClient < 1 {
-		perClient = 1
-		clients = len(bodies)
-	}
-	recs := make([][]driftPhaseRecord, clients)
-	var failed atomic.Uint64
-	var wg sync.WaitGroup
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			lo, hi := g*perClient, (g+1)*perClient
-			if g == clients-1 {
-				hi = len(bodies)
-			}
-			out := make([]driftPhaseRecord, 0, hi-lo)
-			for i := lo; i < hi; i++ {
-				t0 := time.Now()
-				req, err := http.NewRequest(http.MethodPost, url+"/v1/classify", bytes.NewReader(bodies[i]))
-				if err != nil {
-					failed.Add(1)
-					bump(completed)
-					continue
-				}
-				req.Header.Set("Content-Type", serve.ContentTypeBinary)
-				req.Header.Set("Accept", serve.ContentTypeBinary)
-				resp, err := client.Do(req)
-				if err != nil {
-					failed.Add(1)
-					bump(completed)
-					continue
-				}
-				d, err := serve.DecodeBinaryDecision(resp.Body)
-				resp.Body.Close()
-				bump(completed)
-				if err != nil || resp.StatusCode != http.StatusOK {
-					failed.Add(1)
-					continue
-				}
-				out = append(out, driftPhaseRecord{idx: i, gen: d.Generation, label: d.Landmark, lat: time.Since(t0)})
-			}
-			recs[g] = out
-		}(g)
-	}
-	wg.Wait()
-	var all []driftPhaseRecord
-	for _, r := range recs {
-		all = append(all, r...)
-	}
-	return all, int(failed.Load()), nil
-}
-
-func bump(c *atomic.Uint64) {
-	if c != nil {
-		c.Add(1)
-	}
-}
-
 // summarizeDriftPhases builds the three phase rows (latency quantiles,
 // failure counts, generations served); quality is filled in by
 // scoreDriftPhases. A nil models map (the never-fired error path) skips
 // the label check.
 func summarizeDriftPhases(models map[uint64]*core.Model,
-	preIn []core.Input, preRecs []driftPhaseRecord, preFailed int,
-	shiftIn []core.Input, shiftRecs []driftPhaseRecord, shiftFailed int,
-	postIn []core.Input, postRecs []driftPhaseRecord, postFailed int) []DriftPhaseResult {
-	phase := func(name string, inputs []core.Input, recs []driftPhaseRecord, failed int) DriftPhaseResult {
+	preIn []core.Input, preRecs []served, preFailed int,
+	shiftIn []core.Input, shiftRecs []served, shiftFailed int,
+	postIn []core.Input, postRecs []served, postFailed int) []DriftPhaseResult {
+	phase := func(name string, inputs []core.Input, recs []served, failed int) DriftPhaseResult {
 		p := DriftPhaseResult{Phase: name, Requests: len(recs) + failed, FailedRequests: failed}
 		seenGen := map[uint64]bool{}
-		lats := make([]time.Duration, 0, len(recs))
 		for _, r := range recs {
 			seenGen[r.gen] = true
-			lats = append(lats, r.lat)
 		}
 		for gen := range seenGen {
 			p.GenerationsServed = append(p.GenerationsServed, gen)
 		}
 		sort.Slice(p.GenerationsServed, func(i, j int) bool { return p.GenerationsServed[i] < p.GenerationsServed[j] })
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		if len(lats) > 0 {
-			p.P50Micros = float64(lats[len(lats)/2].Nanoseconds()) / 1e3
-			p.P99Micros = float64(lats[int(0.99*float64(len(lats)-1))].Nanoseconds()) / 1e3
-		}
+		q := latencyQuantiles(recs, 0.50, 0.99)
+		p.P50Micros, p.P99Micros = q[0], q[1]
 		if models != nil {
 			// Label check: each response against the offline classification
 			// of the exact generation that served it.
@@ -535,7 +442,7 @@ func summarizeDriftPhases(models map[uint64]*core.Model,
 // the classifier picked among the choices it had (the quantity drift
 // corrupts and a retrain repairs). Costs are deterministic (cost.Meter
 // virtual time), so the same decisions always score the same.
-func scoreDriftPhases(phases []DriftPhaseResult, models map[uint64]*core.Model, inputs [][]core.Input, recs [][]driftPhaseRecord) {
+func scoreDriftPhases(phases []DriftPhaseResult, models map[uint64]*core.Model, inputs [][]core.Input, recs [][]served) {
 	prog := sortbench.New()
 	for pi := range phases {
 		oracle := map[[2]uint64]float64{} // (gen, idx) -> best landmark cost for that generation
@@ -599,25 +506,6 @@ func RenderDriftBench(r DriftBenchReport) string {
 	}
 	fmt.Fprintf(&b, "quality recovered to pre-shift baseline: %v\n", r.QualityRecovered)
 	return b.String()
-}
-
-// MergeDriftIntoBench folds a drift-bench report into the BENCH trajectory
-// file at path, replacing only the "drift" section.
-func MergeDriftIntoBench(path string, db DriftBenchReport) error {
-	var rep BenchReport
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return fmt.Errorf("existing %s is not a bench report: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	rep.Drift = &db
-	data, err := rep.BenchJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // slogFromLogf adapts the bench's printf-style progress logger to the

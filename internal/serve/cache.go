@@ -70,8 +70,8 @@ func quantizeRow(bits int, vals []float64) {
 // entries from the superseded model can no longer be referenced.
 //
 // The nil *DecisionCache is valid and disables caching (every Get misses,
-// Put is a no-op) — the escape hatch the parity tests and the serve-bench
-// A/B mode use.
+// Put is a no-op) — the escape hatch the parity tests and inputtuned
+// -no-cache use.
 type DecisionCache struct {
 	mu      sync.Mutex
 	cap     int

@@ -30,7 +30,7 @@
 // negotiated formats (JSON, kept bit-compatible with PR 4, and the
 // length-prefixed binary frame, whose vectors are read byte for byte into
 // pooled float64 buffers — see docs/ARCHITECTURE.md § Wire protocol). The
-// serve-bench load generator (internal/exp) uses the same codecs to encode
-// generated inputs, so the bench drives the real wire path, one arm per
-// format.
+// cluster and drift benches (internal/exp) encode their inputs with the
+// same codecs, so they drive the real binary wire path;
+// BenchmarkHTTPClassify times both formats through the handler.
 package serve

@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"inputtune/internal/obs"
 )
 
 // newTestServer starts an httptest server with the sort model loaded.
@@ -238,5 +240,83 @@ func TestHTTPConcurrentClassifyDuringReload(t *testing.T) {
 	close(done)
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkHTTPClassify is the wire-format cost of one classify round trip
+// through the real handler over loopback HTTP with a keep-alive client,
+// cycling over the sort fixture inputs: the JSON envelope with a JSON
+// response, the binary frame with a negotiated ITD1 response, and the
+// binary round trip with every request traced. Allocations count client
+// and server together (both run in this process); req-bytes is the mean
+// request body size.
+func BenchmarkHTTPClassify(b *testing.B) {
+	reg := sortServiceRegistry(b)
+	codec, err := LookupCodec("sort")
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := testModels.sortInputs
+	arms := []struct {
+		name   string
+		wire   Wire
+		tracer *obs.Tracer
+	}{
+		{"json", WireJSON, nil},
+		{"binary", WireBinary, nil},
+		{"binary-traced", WireBinary, obs.New(obs.Options{SampleEvery: 1})},
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			bodies := make([][]byte, len(inputs))
+			total := 0
+			for i, in := range inputs {
+				if arm.wire == WireBinary {
+					var buf bytes.Buffer
+					if err := codec.Encode(WireBinary, &buf, in); err != nil {
+						b.Fatal(err)
+					}
+					bodies[i] = buf.Bytes()
+				} else {
+					raw, err := codec.EncodeJSON(in)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if bodies[i], err = json.Marshal(classifyRequest{Benchmark: "sort", Input: raw}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				total += len(bodies[i])
+			}
+			srv := httptest.NewServer(NewHandler(NewService(reg, Options{Tracer: arm.tracer})))
+			defer srv.Close()
+			client := srv.Client()
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/classify", bytes.NewReader(bodies[i%len(bodies)]))
+				if err != nil {
+					b.Fatal(err)
+				}
+				req.Header.Set("Content-Type", arm.wire.ContentType())
+				if arm.wire == WireBinary {
+					req.Header.Set("Accept", ContentTypeBinary)
+				}
+				resp, err := client.Do(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if arm.wire == WireBinary {
+					_, err = DecodeBinaryDecision(resp.Body)
+				} else {
+					var d Decision
+					err = json.NewDecoder(resp.Body).Decode(&d)
+				}
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("classify: status %d, %v", resp.StatusCode, err)
+				}
+			}
+			b.ReportMetric(float64(total)/float64(len(bodies)), "req-bytes")
+		})
 	}
 }

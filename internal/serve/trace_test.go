@@ -128,8 +128,8 @@ func findTrace(t *testing.T, tr *obs.Tracer, id string) obs.TraceView {
 // TestTracingDisabledHandlerAllocsIdentical extends the pin through the
 // HTTP surface: the full handler path (header sniff, startTrace, binary
 // classify, ITD1 encode) allocates identically with a disabled-sampling
-// tracer and with none, so the servebench allocs_per_request trajectory
-// cannot move when tracing ships dark.
+// tracer and with none, so BenchmarkHTTPClassify's allocations per round
+// trip cannot move when tracing ships dark.
 func TestTracingDisabledHandlerAllocsIdentical(t *testing.T) {
 	reg := sortServiceRegistry(t)
 	var frame bytes.Buffer
