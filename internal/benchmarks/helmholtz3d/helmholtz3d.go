@@ -27,21 +27,11 @@ const (
 	SolverGaussSeidel
 	SolverSOR
 	SolverDirect
-	numSolvers
-
-	// SolverFastDirect is the O(N³ log N) sine-transform direct solve of
-	// the constant-coefficient surrogate (pde.FastDirectHelmholtz3D) —
-	// same surrogate semantics as SolverDirect, different asymptotics.
-	// Opt-in via NewWithFastDirect, for the same trajectory-preservation
-	// reason as poisson2d.SolverFastDirect.
-	SolverFastDirect = numSolvers
 )
 
-// SolverNames lists the default solvers in site order.
+// SolverNames lists the solvers in site order, indexed by the Solver*
+// constants.
 var SolverNames = []string{"multigrid", "jacobi", "gauss-seidel", "sor", "direct"}
-
-// FastDirectName names the opt-in sixth alternative.
-const FastDirectName = "fast-direct"
 
 // Problem is a Helmholtz instance: operator (a, c) and right-hand side f.
 type Problem struct {
@@ -124,22 +114,10 @@ type Program struct {
 
 // New constructs the Helmholtz 3D program with the paper's five solver
 // alternatives.
-func New() *Program { return newProgram(false) }
-
-// NewWithFastDirect constructs the program with the sixth "fast-direct"
-// alternative, letting the autotuner weigh the DST-backed surrogate
-// solve against the dense one and multigrid per input. Opt-in so default
-// trajectories and artifacts stay byte-identical.
-func NewWithFastDirect() *Program { return newProgram(true) }
-
-func newProgram(fastDirect bool) *Program {
+func New() *Program {
 	p := &Program{}
 	p.space = choice.NewSpace()
-	names := SolverNames
-	if fastDirect {
-		names = append(append([]string(nil), SolverNames...), FastDirectName)
-	}
-	p.space.AddSite("solver", names...)
+	p.space.AddSite("solver", SolverNames...)
 	p.itersIdx = p.space.AddInt("iterations", 1, 150, 40)
 	p.omegaIdx = p.space.AddFloat("omega", 1.0, 1.9, 1.4)
 	p.cycIdx = p.space.AddInt("mgCycles", 1, 12, 5)
@@ -148,7 +126,7 @@ func newProgram(fastDirect bool) *Program {
 	p.gammaIdx = p.space.AddInt("gamma", 1, 2, 1)
 	// Selector→tunable dependency graph, mirroring poisson2d: sweep count
 	// for the stationary solvers, omega for SOR, cycle shape for
-	// multigrid; the direct solvers read no tunables.
+	// multigrid; the direct solver reads no tunables.
 	p.space.DependsOn(p.itersIdx, 0, SolverJacobi, SolverGaussSeidel, SolverSOR)
 	p.space.DependsOn(p.omegaIdx, 0, SolverSOR)
 	p.space.DependsOn(p.cycIdx, 0, SolverMultigrid)
@@ -194,8 +172,6 @@ func (p *Program) Run(cfg *choice.Config, in feature.Input, meter *cost.Meter) f
 	switch solver {
 	case SolverDirect:
 		u, w = prob.directSolution()
-	case SolverFastDirect:
-		u = pde.FastDirectHelmholtz3D(prob.Op, prob.F, &w)
 	case SolverJacobi:
 		u = p.smoothSolve(prob, smootherJacobi, 0.8, cfg.Int(p.itersIdx), &w)
 	case SolverGaussSeidel:

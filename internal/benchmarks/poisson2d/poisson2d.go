@@ -25,21 +25,11 @@ const (
 	SolverGaussSeidel
 	SolverSOR
 	SolverDirect
-	numSolvers
-
-	// SolverFastDirect is the O(N² log N) sine-transform direct solver
-	// (pde.FastDirectPoisson2D). It sits AFTER numSolvers because it is
-	// opt-in (NewWithFastDirect): extending the default solver site would
-	// shift every r.Intn(nAlts) draw in RandomConfig and silently change
-	// all established GA trajectories and saved artifacts.
-	SolverFastDirect = numSolvers
 )
 
-// SolverNames lists the default solvers in site order.
+// SolverNames lists the solvers in site order, indexed by the Solver*
+// constants.
 var SolverNames = []string{"multigrid", "jacobi", "gauss-seidel", "sor", "direct"}
-
-// FastDirectName names the opt-in sixth alternative.
-const FastDirectName = "fast-direct"
 
 // Problem is a Poisson instance: the right-hand side on an N×N grid.
 type Problem struct {
@@ -97,23 +87,10 @@ type Program struct {
 
 // New constructs the Poisson 2D program with the paper's five solver
 // alternatives.
-func New() *Program { return newProgram(false) }
-
-// NewWithFastDirect constructs the program with a sixth "fast-direct"
-// alternative: the O(N² log N) DST-backed direct solver. The autotuner
-// then weighs it against dense direct and multigrid per input size —
-// the raw-speed experiment arm. Kept out of New so default trajectories
-// and artifacts stay byte-identical.
-func NewWithFastDirect() *Program { return newProgram(true) }
-
-func newProgram(fastDirect bool) *Program {
+func New() *Program {
 	p := &Program{}
 	p.space = choice.NewSpace()
-	names := SolverNames
-	if fastDirect {
-		names = append(append([]string(nil), SolverNames...), FastDirectName)
-	}
-	p.space.AddSite("solver", names...)
+	p.space.AddSite("solver", SolverNames...)
 	p.itersIdx = p.space.AddInt("iterations", 1, 300, 60)
 	p.omegaIdx = p.space.AddFloat("omega", 1.0, 1.95, 1.5)
 	p.cycIdx = p.space.AddInt("mgCycles", 1, 16, 6)
@@ -122,8 +99,8 @@ func newProgram(fastDirect bool) *Program {
 	p.gammaIdx = p.space.AddInt("gamma", 1, 2, 1)
 	// Selector→tunable dependency graph: the sweep count is read only by
 	// the stationary iterative solvers, the over-relaxation factor only by
-	// SOR, and the cycle-shape knobs only by multigrid. Direct solvers
-	// read no tunables at all, so their genes are dead and the tuner
+	// SOR, and the cycle-shape knobs only by multigrid. The direct solver
+	// reads no tunables at all, so its genes are dead and the tuner
 	// collapses such variants before evaluating them.
 	p.space.DependsOn(p.itersIdx, 0, SolverJacobi, SolverGaussSeidel, SolverSOR)
 	p.space.DependsOn(p.omegaIdx, 0, SolverSOR)
@@ -160,8 +137,6 @@ func (p *Program) Run(cfg *choice.Config, in feature.Input, meter *cost.Meter) f
 	switch solver {
 	case SolverDirect:
 		u, _, w = prob.exactSolution()
-	case SolverFastDirect:
-		u = pde.FastDirectPoisson2D(prob.F, &w)
 	case SolverJacobi:
 		u = p.smoothSolve(prob, smootherJacobi, 0.8, cfg.Int(p.itersIdx), &w)
 	case SolverGaussSeidel:

@@ -89,6 +89,11 @@ func NewDetector(summary *core.Summary, means, stds []float64, opts DetectorOpti
 // 1) are the ones whose landmark assignment is least certain, so they
 // carry the most information about where a retrain should redraw the
 // regions.
+//
+// A row with a non-finite z-value (NaN or ±Inf) at any observed index is
+// not counted in the window and gets weight 0, which the reservoir
+// rejects: one such row would otherwise fire the detector (±Inf) or blind
+// the mean-shift test for the rest of the window (NaN).
 func (d *Detector) Observe(row []float64, indices []int) (weight float64) {
 	if d.indices == nil {
 		d.indices = append([]int(nil), indices...)
@@ -102,6 +107,11 @@ func (d *Detector) Observe(row []float64, indices []int) (weight float64) {
 			std = 1
 		}
 		d.zrow[f] = (row[f] - d.means[f]) / std
+	}
+	for _, f := range d.indices {
+		if z := d.zrow[f]; math.IsNaN(z) || math.IsInf(z, 0) {
+			return 0
+		}
 	}
 	for i, f := range d.indices {
 		d.featSum[i] += d.zrow[f]

@@ -90,13 +90,6 @@ type BenchReport struct {
 	// -nocache report can never be mistaken for the real trajectory.
 	CacheDisabled bool          `json:"cache_disabled"`
 	Results       []BenchResult `json:"results"`
-	// DirectSolver is the dense-vs-FFT direct solver microbenchmark and
-	// FastDirect the PDE retraining arm with the opt-in fast-direct
-	// alternative (see fastdirect.go). Both are populated whenever a PDE
-	// case is among the bench's names; the sections are additive, so the
-	// shared results stay comparable across trajectory snapshots.
-	DirectSolver []DirectSolverRow `json:"direct_solver,omitempty"`
-	FastDirect   []FastDirectCase  `json:"fast_direct,omitempty"`
 	// Fleet is the multi-replica arm of the serving trajectory: scaling
 	// and fault tolerance of the consistent-hash fleet under load with an
 	// injected replica kill, written by `experiments cluster-bench`.
@@ -154,16 +147,6 @@ func RunBench(names []string, scaleName string, sc Scale, logf func(string, ...a
 			Satisfaction:      row.TwoLevelAccuracy,
 		})
 	}
-	hasPDE := false
-	for _, name := range names {
-		if name == "poisson2d" || name == "helmholtz3d" {
-			hasPDE = true
-		}
-	}
-	if hasPDE {
-		rep.DirectSolver = RunDirectSolverBench(sc)
-		rep.FastDirect = RunFastDirectArm(names, sc, logf)
-	}
 	return rep
 }
 
@@ -187,14 +170,6 @@ func RenderBench(r BenchReport) string {
 			res.Benchmark, res.WallSeconds, res.TrainSeconds,
 			res.TunerEvaluations, res.TunerCacheHits, res.DeadGeneCollapses, res.MetaTunerTrials,
 			solv, 100*res.CacheHitRate, res.TwoLevelSpeedup)
-	}
-	if len(r.DirectSolver) > 0 {
-		b.WriteString("\ndirect-solver microbench (dense vs FFT sine transform):\n")
-		b.WriteString(RenderDirectSolver(r.DirectSolver))
-	}
-	if len(r.FastDirect) > 0 {
-		b.WriteString("\nfast-direct retraining arm (opt-in sixth solver alternative):\n")
-		b.WriteString(RenderFastDirect(r.FastDirect))
 	}
 	return b.String()
 }

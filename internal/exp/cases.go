@@ -27,11 +27,6 @@ type Scale struct {
 	// DisableCache turns off the engine's memoized measurement cache (the
 	// A/B escape hatch; results are identical either way).
 	DisableCache bool
-	// TunerBudget caps tuner evaluations per landmark (0 = the
-	// meta-tuner's self-tuned default).
-	TunerBudget int
-	// TunerMetaTrials sets the self-tuning portfolio length (0 = default).
-	TunerMetaTrials int
 }
 
 // measurementCache returns a fresh test-set measurement cache, or nil when
@@ -107,19 +102,15 @@ var tunerProfiles = map[string]TunerProfile{
 // the meta-tuner's self-tuned defaults).
 func Profile(name string) TunerProfile { return tunerProfiles[name] }
 
-// resolveTuner returns the (budget, trials) pair for a case at a scale:
-// explicit Scale overrides win, then the per-benchmark profile, then the
+// resolveTuner returns the (budget, trials) pair for a case at a scale,
+// read from the per-benchmark profile; a case without one gets the
 // meta-tuner defaults (0, 0).
 func resolveTuner(name string, sc Scale) (budget, trials int) {
-	budget, trials = sc.TunerBudget, sc.TunerMetaTrials
 	p := tunerProfiles[name]
-	if budget == 0 && p.BudgetFrac > 0 {
+	if p.BudgetFrac > 0 {
 		budget = int(p.BudgetFrac*float64(autotuner.FlatCost(sc.TunerPop, sc.TunerGens)) + 0.5)
 	}
-	if trials == 0 {
-		trials = p.MetaTrials
-	}
-	return budget, trials
+	return budget, p.MetaTrials
 }
 
 // BuildCase constructs one named case at the given scale.

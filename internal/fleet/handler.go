@@ -53,30 +53,13 @@ func NewHandler(rt *Router) http.Handler {
 			// Normalize the JSON envelope to a binary frame: the router
 			// fingerprints frames, and both wires must shard identically or
 			// a client's format choice would change which cache it warms.
-			var req struct {
-				Benchmark string          `json:"benchmark"`
-				Input     json.RawMessage `json:"input"`
-			}
-			if err := json.Unmarshal(body, &req); err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-				return
-			}
-			if req.Benchmark == "" || len(req.Input) == 0 {
-				writeError(w, http.StatusBadRequest, errors.New("request needs \"benchmark\" and \"input\""))
-				return
-			}
-			c, err := serve.LookupCodec(req.Benchmark)
+			c, in, status, err := serve.DecodeClassifyJSON(body)
 			if err != nil {
-				writeError(w, http.StatusNotFound, err)
-				return
-			}
-			in, err := c.DecodeJSON(req.Input)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decoding %s input: %w", req.Benchmark, err))
+				writeError(w, status, err)
 				return
 			}
 			var buf bytes.Buffer
-			err = serve.EncodeBinaryRequest(&buf, req.Benchmark, in)
+			err = serve.EncodeBinaryRequest(&buf, c.Name, in)
 			c.Release(in)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -157,5 +158,49 @@ func TestHandlerReload(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/reload", strings.NewReader("garbage")))
 	if rec.Code != 400 {
 		t.Fatalf("garbage reload: %d, want 400", rec.Code)
+	}
+}
+
+// TestClassifyEnvelopeErrorsBothHandlers pins the one JSON envelope
+// decoder both front doors share: a single service's handler and the
+// fleet's answer every bad envelope with the same status and error prefix.
+func TestClassifyEnvelopeErrorsBothHandlers(t *testing.T) {
+	rt, replicas := newLocalFleet(t, 2, Options{QuantizeBits: 8})
+	defer rt.Close(context.Background())
+	handlers := map[string]http.Handler{
+		"service": serve.NewHandler(replicas[0].svc),
+		"fleet":   NewHandler(rt),
+	}
+	cases := []struct {
+		name, body string
+		status     int
+		prefix     string
+	}{
+		{"malformed JSON", `{"benchmark": "sort", "input": {`, http.StatusBadRequest, "decoding request: "},
+		{"not an object", `[1, 2]`, http.StatusBadRequest, "decoding request: "},
+		{"missing benchmark", `{"input": {"data": [1]}}`, http.StatusBadRequest, `request needs "benchmark" and "input"`},
+		{"missing input", `{"benchmark": "sort"}`, http.StatusBadRequest, `request needs "benchmark" and "input"`},
+		{"unknown benchmark", `{"benchmark": "nosuch", "input": {"data": [1]}}`, http.StatusNotFound, `serve: no codec for benchmark "nosuch"`},
+		{"input of the wrong type", `{"benchmark": "sort", "input": {"data": "x"}}`, http.StatusBadRequest, "decoding sort input: "},
+		{"input failing validation", `{"benchmark": "sort", "input": {"data": []}}`, http.StatusBadRequest, "decoding sort input: "},
+	}
+	for hname, h := range handlers {
+		for _, tc := range cases {
+			t.Run(hname+"/"+tc.name, func(t *testing.T) {
+				req := httptest.NewRequest("POST", "/v1/classify", strings.NewReader(tc.body))
+				req.Header.Set("Content-Type", serve.ContentTypeJSON)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				var e struct {
+					Error string `json:"error"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+					t.Fatalf("error body %q: %v", rec.Body.String(), err)
+				}
+				if rec.Code != tc.status || !strings.HasPrefix(e.Error, tc.prefix) {
+					t.Fatalf("got %d %q, want %d with prefix %q", rec.Code, e.Error, tc.status, tc.prefix)
+				}
+			})
+		}
 	}
 }

@@ -1,7 +1,9 @@
 // Package pde is the numerical substrate of the Poisson 2D and Helmholtz
 // 3D benchmarks: finite-difference grids with Dirichlet zero boundaries,
 // pointwise smoothers (weighted Jacobi, Gauss-Seidel, SOR), geometric
-// multigrid with tunable cycle shape, and sine-transform direct solvers.
+// multigrid with tunable cycle shape, and the dense sine-transform direct
+// solvers DirectPoisson2D and DirectHelmholtz3D (O(N³) and O(N⁴) per solve;
+// one cached sine basis per problem size).
 // All solvers report their flop work through a Work tally so the
 // benchmarks can charge a cost.Meter in one batch per run.
 //

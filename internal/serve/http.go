@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 
+	"inputtune/internal/core"
 	"inputtune/internal/obs"
 )
 
@@ -18,11 +20,48 @@ import (
 // benchmark sizes are a few MB of JSON; 64 MB leaves ample headroom.
 const MaxRequestBytes = 64 << 20
 
-// classifyRequest is the POST /v1/classify JSON envelope. The binary wire
-// needs no envelope: its frame names the benchmark itself.
-type classifyRequest struct {
-	Benchmark string          `json:"benchmark"`
-	Input     json.RawMessage `json:"input"`
+// errEnvelopeFields rejects a JSON classify envelope without a benchmark
+// name or an input object.
+var errEnvelopeFields = errors.New(`request needs "benchmark" and "input"`)
+
+// DecodeClassifyJSON decodes a POST /v1/classify JSON envelope,
+// {"benchmark": "...", "input": {...}}, into the named benchmark's codec
+// and input; the caller releases the input through the codec. (The binary
+// wire needs no envelope: its frame names the benchmark itself.) The body
+// is token-scanned only as far as "benchmark" to pick the codec, then
+// unmarshalled once into that codec's envelope carrier. As the envelope
+// has always behaved, unknown keys are ignored and missing input fields
+// decode to zero. On failure, status is the HTTP answer: 404 for an unknown
+// benchmark, 400 for everything else.
+func DecodeClassifyJSON(body []byte) (c *Codec, in core.Input, status int, err error) {
+	name, err := benchmarkField(body)
+	if err != nil {
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+	}
+	if name == "" {
+		return nil, nil, http.StatusBadRequest, errEnvelopeFields
+	}
+	if c, err = LookupCodec(name); err != nil {
+		return nil, nil, http.StatusNotFound, err
+	}
+	env := reflect.New(c.sch.envT)
+	if err := json.Unmarshal(body, env.Interface()); err != nil {
+		// The carrier's only field is "input", so a type mismatch is
+		// always inside the input; anything else is a malformed body.
+		var typeErr *json.UnmarshalTypeError
+		if errors.As(err, &typeErr) {
+			return nil, nil, http.StatusBadRequest, fmt.Errorf("decoding %s input: %w", name, err)
+		}
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
+	}
+	iv := env.Elem().Field(0)
+	if iv.IsNil() {
+		return nil, nil, http.StatusBadRequest, errEnvelopeFields
+	}
+	if in, err = c.buildInput(c.sch.payloadOf(iv.Elem())); err != nil {
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("decoding %s input: %w", name, err)
+	}
+	return c, in, http.StatusOK, nil
 }
 
 // errorResponse is the JSON error envelope.
@@ -149,32 +188,15 @@ func NewHandler(svc *Service) http.Handler {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 				return
 			}
-			var req classifyRequest
-			err := json.Unmarshal(body.Bytes(), &req)
-			putBuf(body) // req.Input is a copy; the raw body is done
+			c, decoded, status, err := DecodeClassifyJSON(body.Bytes())
+			putBuf(body) // the decoded input owns copies; the raw body is done
 			if err != nil {
 				t.SetError(err)
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-				return
-			}
-			if req.Benchmark == "" || len(req.Input) == 0 {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("request needs \"benchmark\" and \"input\""))
-				return
-			}
-			c, err := LookupCodec(req.Benchmark)
-			if err != nil {
-				t.SetError(err)
-				writeError(w, http.StatusNotFound, err)
-				return
-			}
-			decoded, err := c.DecodeJSON(req.Input)
-			if err != nil {
-				t.SetError(err)
-				writeError(w, http.StatusBadRequest, fmt.Errorf("decoding %s input: %w", req.Benchmark, err))
+				writeError(w, status, err)
 				return
 			}
 			t.Span("decode", dt)
-			d, err := svc.ClassifyTraced(req.Benchmark, decoded, t)
+			d, err := svc.ClassifyTraced(c.Name, decoded, t)
 			// The decision carries no reference to the input, so its
 			// buffers can rejoin the pool before the response is written.
 			c.Release(decoded)

@@ -13,6 +13,12 @@ import (
 	"inputtune/internal/obs"
 )
 
+// classifyRequest is the JSON classify envelope as clients write it.
+type classifyRequest struct {
+	Benchmark string          `json:"benchmark"`
+	Input     json.RawMessage `json:"input"`
+}
+
 // newTestServer starts an httptest server with the sort model loaded.
 func newTestServer(t *testing.T) (*httptest.Server, *Service) {
 	t.Helper()

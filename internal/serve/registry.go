@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -112,11 +113,14 @@ func (r *Registry) lookup(name string) (*entry, error) {
 	return e, nil
 }
 
-// artifactBenchmark returns the top-level "benchmark" value a reload is
-// routed by. It scans tokens only as far as that key, which SaveModel
-// writes second, so the artifact is parsed in full once, by LoadModel.
-func artifactBenchmark(artifact []byte) (string, error) {
-	dec := json.NewDecoder(bytes.NewReader(artifact))
+// benchmarkField returns the top-level "benchmark" value of a JSON object
+// ("" when the key is absent): the name a reload artifact and a JSON
+// classify envelope are routed by. It scans tokens only as far as that
+// key, which SaveModel writes second and clients write first, so the body
+// is parsed in full once, by whatever the name selects. The key matches
+// case-insensitively, as encoding/json matches it into a struct field.
+func benchmarkField(data []byte) (string, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	if tok, err := dec.Token(); err != nil {
 		return "", err
 	} else if tok != json.Delim('{') {
@@ -127,7 +131,7 @@ func artifactBenchmark(artifact []byte) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if key == "benchmark" {
+		if k, _ := key.(string); strings.EqualFold(k, "benchmark") {
 			var name string
 			err := dec.Decode(&name)
 			return name, err
@@ -144,7 +148,7 @@ func artifactBenchmark(artifact []byte) (string, error) {
 // named INSIDE the artifact, and atomically publishes it. On any error the
 // previously published snapshot (if one exists) keeps serving untouched.
 func (r *Registry) Load(artifact []byte) (*Snapshot, error) {
-	name, err := artifactBenchmark(artifact)
+	name, err := benchmarkField(artifact)
 	if err != nil {
 		return nil, fmt.Errorf("serve: unreadable artifact: %w", err)
 	}

@@ -208,9 +208,10 @@ func TestServedDescriptionsMatchDescribeConfig(t *testing.T) {
 	}
 }
 
-// TestArtifactBenchmarkScan pins the reload router's token scan: it finds
-// the top-level benchmark wherever it sits, ignores nested keys of the
-// same name, and rejects what is not a JSON object.
+// TestArtifactBenchmarkScan pins the token scan that routes reloads and
+// JSON classify envelopes: it finds the top-level benchmark wherever it
+// sits and in any letter case, ignores nested keys of the same name, and
+// rejects what is not a JSON object.
 func TestArtifactBenchmarkScan(t *testing.T) {
 	for _, c := range []struct {
 		artifact, want string
@@ -218,13 +219,14 @@ func TestArtifactBenchmarkScan(t *testing.T) {
 	}{
 		{`{"version": 1, "benchmark": "sort", "landmarks": [`, "sort", true},
 		{`{"report": {"benchmark": "x"}, "benchmark": "svd"}`, "svd", true},
+		{`{"Benchmark": "sort", "input": {}}`, "sort", true},
 		{`{"version": 1}`, "", true},
 		{`{"benchmark": 5}`, "", false},
 		{`[{"benchmark": "sort"}]`, "", false},
 		{`not json at all`, "", false},
 		{``, "", false},
 	} {
-		got, err := artifactBenchmark([]byte(c.artifact))
+		got, err := benchmarkField([]byte(c.artifact))
 		if (err == nil) != c.ok || got != c.want {
 			t.Errorf("%q: got (%q, %v), want %q ok=%v", c.artifact, got, err, c.want, c.ok)
 		}

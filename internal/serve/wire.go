@@ -135,11 +135,13 @@ type schema struct {
 	split func(in core.Input, p *payload) error
 
 	// jsonT is the reflect-built struct type whose json tags reproduce the
-	// benchmark's wire object; computed once by finalize.
+	// benchmark's wire object; envT wraps a *jsonT as the "input" field of
+	// the classify envelope. Both are computed once by finalize.
 	jsonT reflect.Type
+	envT  reflect.Type
 }
 
-// finalize precomputes the generic JSON carrier type.
+// finalize precomputes the generic JSON carrier types.
 func (sch *schema) finalize() *schema {
 	var fields []reflect.StructField
 	add := func(name string, t reflect.Type) {
@@ -159,6 +161,11 @@ func (sch *schema) finalize() *schema {
 		add(n, reflect.TypeOf([]float64(nil)))
 	}
 	sch.jsonT = reflect.StructOf(fields)
+	sch.envT = reflect.StructOf([]reflect.StructField{{
+		Name: "Input",
+		Type: reflect.PointerTo(sch.jsonT),
+		Tag:  `json:"input"`,
+	}})
 	return sch
 }
 
@@ -175,7 +182,11 @@ func (sch *schema) decodeJSON(raw []byte) (*payload, error) {
 	if err := json.Unmarshal(raw, pv.Interface()); err != nil {
 		return nil, err
 	}
-	v := pv.Elem()
+	return sch.payloadOf(pv.Elem()), nil
+}
+
+// payloadOf copies a decoded jsonT carrier into a pooled payload.
+func (sch *schema) payloadOf(v reflect.Value) *payload {
 	p := getPayload()
 	i := 0
 	for range sch.intFields {
@@ -190,7 +201,7 @@ func (sch *schema) decodeJSON(raw []byte) (*payload, error) {
 		p.vecs = append(p.vecs, v.Field(i).Interface().([]float64))
 		i++
 	}
-	return p, nil
+	return p
 }
 
 // encodeJSON renders a payload as the benchmark's JSON wire object.
