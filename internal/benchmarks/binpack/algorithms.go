@@ -42,33 +42,55 @@ var AlgNames = []string{
 // Pack assigns items (sizes in (0, 1]) to unit bins with the chosen
 // heuristic, charging work to meter. It returns the bin fill levels.
 func Pack(alg int, items []float64, meter *cost.Meter) []float64 {
+	var sorted []float64
+	if decreasing(alg) {
+		sorted = sortedDecreasing(items, meter)
+	}
+	return packSorted(alg, items, sorted, meter)
+}
+
+// decreasing reports whether heuristic alg packs the items in descending
+// order: the six Decreasing variants and MFFD.
+func decreasing(alg int) bool {
+	switch alg {
+	case NextFitDecreasing, FirstFitDecreasing, BestFitDecreasing, WorstFitDecreasing,
+		AlmostWorstFitDecreasing, LastFitDecreasing, ModifiedFirstFitDecreasing:
+		return true
+	}
+	return false
+}
+
+// packSorted is Pack with the sort already done and charged: sorted is
+// the descending copy of items when decreasing(alg), unused otherwise. It
+// only reads sorted, so one copy can serve every Decreasing heuristic.
+func packSorted(alg int, items, sorted []float64, meter *cost.Meter) []float64 {
 	switch alg {
 	case NextFit:
 		return nextFit(items, meter)
 	case NextFitDecreasing:
-		return nextFit(sortedDecreasing(items, meter), meter)
+		return nextFit(sorted, meter)
 	case FirstFit:
 		return scanFit(items, meter, pickFirst)
 	case FirstFitDecreasing:
-		return scanFit(sortedDecreasing(items, meter), meter, pickFirst)
+		return scanFit(sorted, meter, pickFirst)
 	case BestFit:
 		return scanFit(items, meter, pickBest)
 	case BestFitDecreasing:
-		return scanFit(sortedDecreasing(items, meter), meter, pickBest)
+		return scanFit(sorted, meter, pickBest)
 	case WorstFit:
 		return scanFit(items, meter, pickWorst)
 	case WorstFitDecreasing:
-		return scanFit(sortedDecreasing(items, meter), meter, pickWorst)
+		return scanFit(sorted, meter, pickWorst)
 	case AlmostWorstFit:
 		return scanFit(items, meter, pickAlmostWorst)
 	case AlmostWorstFitDecreasing:
-		return scanFit(sortedDecreasing(items, meter), meter, pickAlmostWorst)
+		return scanFit(sorted, meter, pickAlmostWorst)
 	case LastFit:
 		return scanFit(items, meter, pickLast)
 	case LastFitDecreasing:
-		return scanFit(sortedDecreasing(items, meter), meter, pickLast)
+		return scanFit(sorted, meter, pickLast)
 	case ModifiedFirstFitDecreasing:
-		return mffd(items, meter)
+		return mffd(sorted, meter)
 	default:
 		panic("binpack: unknown algorithm")
 	}
@@ -206,9 +228,9 @@ func scanFit(items []float64, meter *cost.Meter, pick picker) []float64 {
 // mffd is the Modified First Fit Decreasing heuristic (Johnson & Garey):
 // large items (> 1/2) each open a bin; bins are then revisited largest-gap
 // first, greedily pairing a smallest small item with the largest companion
-// that still fits; the leftovers are packed FFD.
-func mffd(items []float64, meter *cost.Meter) []float64 {
-	sorted := sortedDecreasing(items, meter)
+// that still fits; the leftovers are packed FFD. sorted holds the items
+// in descending order; mffd only reads it.
+func mffd(sorted []float64, meter *cost.Meter) []float64 {
 	var bins []float64
 	var small []float64 // ≤ 1/2, still descending
 	for _, it := range sorted {

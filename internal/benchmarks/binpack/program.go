@@ -23,6 +23,30 @@ type Items struct {
 	// are only classified stay small.
 	packsOnce sync.Once
 	packs     *[numAlgorithms]packing
+
+	// sortOnce/sorted hold the descending copy of Sizes and the op counts
+	// sorting it charged, computed at most once and shared read-only by
+	// every Decreasing heuristic's packing.
+	sortOnce sync.Once
+	sorted   *sortedItems
+}
+
+// sortedItems is the items in descending order plus the comparisons and
+// moves the metered sort took to produce them.
+type sortedItems struct {
+	sizes           []float64
+	compares, moves uint64
+}
+
+// sortedDesc returns the items sorted in descending order, sorting on a
+// private meter the first time it is asked for.
+func (it *Items) sortedDesc() *sortedItems {
+	it.sortOnce.Do(func() {
+		m := cost.NewMeter()
+		it.sorted = &sortedItems{sizes: sortedDecreasing(it.Sizes, m),
+			compares: m.Count(cost.Compare), moves: m.Count(cost.Move)}
+	})
+	return it.sorted
 }
 
 // packing is one heuristic's result on one Items: the occupancy Run
@@ -33,8 +57,10 @@ type packing struct {
 	counts    [cost.NumOps]uint64
 }
 
-// pack returns the packing of the items with heuristic alg, running
-// Pack on a private meter the first time it is asked for.
+// pack returns the packing of the items with heuristic alg, packing on a
+// private meter the first time it is asked for. A Decreasing heuristic
+// packs the shared sorted copy and charges the sort's recorded counts, so
+// its counts equal a fresh Pack's.
 func (it *Items) pack(alg int) *packing {
 	if alg < 0 || alg >= numAlgorithms {
 		panic("binpack: unknown algorithm")
@@ -43,7 +69,14 @@ func (it *Items) pack(alg int) *packing {
 	pk := &it.packs[alg]
 	pk.once.Do(func() {
 		m := cost.NewMeter()
-		pk.occupancy = Occupancy(Pack(alg, it.Sizes, m))
+		var sorted []float64
+		if decreasing(alg) {
+			s := it.sortedDesc()
+			sorted = s.sizes
+			m.Charge(cost.Compare, int(s.compares))
+			m.Charge(cost.Move, int(s.moves))
+		}
+		pk.occupancy = Occupancy(packSorted(alg, it.Sizes, sorted, m))
 		for op := range pk.counts {
 			pk.counts[op] = m.Count(cost.Op(op))
 		}

@@ -366,6 +366,69 @@ func TestDegenerateRunMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSharedSortMatchesReference runs every heuristic through Run on one
+// Items, in a shuffled order, over random and degenerate (NaN, all-NaN,
+// empty) inputs. Each Run must match a fresh referencePack bit for bit and
+// count for count while the seven Decreasing heuristics share one sort:
+// the shared copy must equal the reference sort's output and counts, the
+// non-Decreasing heuristics must leave the items unsorted, and the sort
+// must not be redone.
+func TestSharedSortMatchesReference(t *testing.T) {
+	r := rng.New(91)
+	type tc struct {
+		name  string
+		sizes []float64
+	}
+	cases := []tc{
+		{"empty", nil},
+		{"nan", []float64{0.3, math.NaN(), 0.6, 0.2}},
+		{"all-nan", []float64{math.NaN(), math.NaN()}},
+		{"pairs-to-one", []float64{0.25, 0.75, 0.5, 0.5, 0.125, 0.875, 0.75, 0.25}},
+	}
+	for trial := 0; trial < 12; trial++ {
+		g := Generators()[trial%len(Generators())]
+		cases = append(cases, tc{g.Name, g.Gen(r.IntRange(1, 300), r).Sizes})
+	}
+	p := New()
+	for _, c := range cases {
+		items := &Items{Sizes: c.sizes}
+		for alg := 0; alg < numAlgorithms; alg++ {
+			if !decreasing(alg) {
+				checkRunMatchesReference(t, p, c.name, items, alg)
+			}
+		}
+		if items.sorted != nil {
+			t.Fatalf("%s: non-Decreasing heuristics sorted the items", c.name)
+		}
+		order := r.Perm(numAlgorithms)
+		var first *sortedItems
+		for _, alg := range order {
+			checkRunMatchesReference(t, p, c.name, items, alg)
+			if decreasing(alg) && first == nil {
+				first = items.sorted
+			}
+		}
+		if items.sorted != first {
+			t.Fatalf("%s: items sorted more than once", c.name)
+		}
+		m := cost.NewMeter()
+		want := refSortedDecreasing(c.sizes, m)
+		got := items.sortedDesc()
+		if len(got.sizes) != len(want) {
+			t.Fatalf("%s: shared sort holds %d items, reference %d", c.name, len(got.sizes), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got.sizes[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: shared sort item %d is %v, reference %v", c.name, i, got.sizes[i], want[i])
+			}
+		}
+		if got.compares != m.Count(cost.Compare) || got.moves != m.Count(cost.Move) {
+			t.Fatalf("%s: shared sort counted %d compares, %d moves; reference %d, %d", c.name,
+				got.compares, got.moves, m.Count(cost.Compare), m.Count(cost.Move))
+		}
+	}
+}
+
 // TestRunSharedItemsConcurrent runs every heuristic from many goroutines
 // on one shared Items (run it under -race): each result must equal a
 // fresh referencePack's.

@@ -80,18 +80,17 @@ func (p *Program) smoothSolve(prob *Problem, kind byte, omega float64, sweeps in
 	}
 	var cw pde.Work
 	if start < sweeps {
+		// Both smoothers sweep through pooled workspace: Jacobi's
+		// out-of-place buffer, SOR's padded operator and scratch.
+		h := prob.hier()
 		if kind == smootherJacobi {
-			// Only Jacobi needs workspace (its out-of-place scratch buffer).
-			h := prob.hier()
 			for it := start; it < sweeps; it++ {
 				h.Jacobi(u, prob.F, omega, &cw)
 			}
-			prob.putHier(h)
 		} else {
-			for it := start; it < sweeps; it++ {
-				pde.SOR3D(prob.Op, u, prob.F, omega, &cw)
-			}
+			h.SOR(u, prob.F, omega, sweeps-start, &cw)
 		}
+		prob.putHier(h)
 	}
 	total := base + cw.Flops
 	if !p.memoOff && start < sweeps {
@@ -212,9 +211,7 @@ func (p *Program) firstCycle(prob *Problem, h *pde.Hierarchy3D, u *pde.Grid3D, o
 				copy(u.Data, s.data)
 				preDone, base = k, s.flops
 			}
-			for s := preDone; s < opt.Pre; s++ {
-				h.SOR(u, prob.F, opt.Omega, &cw)
-			}
+			h.SOR(u, prob.F, opt.Omega, opt.Pre-preDone, &cw)
 			if preDone < opt.Pre {
 				p.memo.PutStep(sorStem, opt.Pre,
 					solveSnap{data: append([]float64(nil), u.Data...), flops: base + cw.Flops})
@@ -226,8 +223,6 @@ func (p *Program) firstCycle(prob *Problem, h *pde.Hierarchy3D, u *pde.Grid3D, o
 				solveSnap{data: append([]float64(nil), u.Data...), flops: base + cw.Flops})
 		}
 	}
-	for s := 0; s < opt.Post; s++ {
-		h.SOR(u, prob.F, opt.Omega, &cw)
-	}
+	h.SOR(u, prob.F, opt.Omega, opt.Post, &cw)
 	return base + cw.Flops
 }

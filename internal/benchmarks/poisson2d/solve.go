@@ -82,9 +82,7 @@ func (p *Program) smoothSolve(prob *Problem, kind byte, omega float64, sweeps in
 			}
 			prob.putHier(h)
 		} else {
-			for it := start; it < sweeps; it++ {
-				pde.SOR2D(u, prob.F, omega, &cw)
-			}
+			pde.SOR2D(u, prob.F, omega, sweeps-start, &cw)
 		}
 	}
 	total := base + cw.Flops

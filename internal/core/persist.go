@@ -122,6 +122,14 @@ func LoadModel(prog Program, r io.Reader) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown classifier kind %q", mj.Production.Kind)
 	}
+	nf := prog.Features().NumFeatures()
+	if err := validatePayload(cand, len(mj.Landmarks), nf); err != nil {
+		return nil, err
+	}
+	if len(mj.Means) != nf || len(mj.Stds) != nf {
+		return nil, fmt.Errorf("core: scaler has %d means and %d stds, program has %d features",
+			len(mj.Means), len(mj.Stds), nf)
+	}
 	if err := mj.Summary.Validate(len(mj.Means)); err != nil {
 		return nil, err
 	}
@@ -134,4 +142,28 @@ func LoadModel(prog Program, r io.Reader) (*Model, error) {
 		Summary:    mj.Summary,
 		Report:     mj.Report,
 	}, nil
+}
+
+// validatePayload checks a decoded production classifier against the
+// model it serves: every label it can return must index one of the
+// model's landmarks, and every feature it reads or extracts must index one
+// of the program's numFeatures features. A classifier that passes
+// classifies any input without indexing out of range.
+func validatePayload(c *Candidate, landmarks, numFeatures int) error {
+	for _, f := range c.Static {
+		if f < 0 || f >= numFeatures {
+			return fmt.Errorf("core: static feature %d out of range [0, %d)", f, numFeatures)
+		}
+	}
+	var err error
+	switch c.Kind {
+	case SubsetTree:
+		err = c.tree.Validate(landmarks, numFeatures)
+	case Incremental:
+		err = c.inc.Validate(landmarks, numFeatures)
+	}
+	if err != nil {
+		return fmt.Errorf("core: %s classifier invalid for the model: %w", c.Kind, err)
+	}
+	return nil
 }

@@ -7,6 +7,7 @@
 package bayes
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -174,6 +175,32 @@ func (c *Classifier) PredictFull(x []float64) int {
 	}
 	k, _ := posteriorMax(logPost)
 	return k
+}
+
+// Validate returns an error unless the classifier separates numClasses
+// (at least one) classes and every feature it acquires lies in
+// [0, numFeatures) with region cuts and one class-conditional row per
+// region of numClasses entries: the classifiers Classify and
+// PredictFull run without indexing out of range. LoadModel runs it on
+// decoded classifiers, which carry whatever the artifact said.
+func (c *Classifier) Validate(numClasses, numFeatures int) error {
+	if numClasses < 1 || c.opts.NumClasses != numClasses || len(c.logPrior) != numClasses {
+		return fmt.Errorf("bayes: %d classes with %d priors, want %d", c.opts.NumClasses, len(c.logPrior), numClasses)
+	}
+	for _, f := range c.opts.Order {
+		if f < 0 || f >= numFeatures {
+			return fmt.Errorf("bayes: feature %d out of range [0, %d)", f, numFeatures)
+		}
+		if f >= len(c.cuts) || f >= len(c.logCond) || len(c.logCond[f]) != len(c.cuts[f])+1 {
+			return fmt.Errorf("bayes: feature %d lacks one probability row per region", f)
+		}
+		for _, row := range c.logCond[f] {
+			if len(row) != numClasses {
+				return fmt.Errorf("bayes: feature %d has a region over %d classes, want %d", f, len(row), numClasses)
+			}
+		}
+	}
+	return nil
 }
 
 // posteriorMax normalises log posteriors and returns the argmax class and

@@ -205,6 +205,34 @@ func (t *Tree) FeaturesUsed() []int {
 	return out
 }
 
+// Validate returns an error unless the tree has a root, every leaf class
+// lies in [0, numClasses) and every split feature in [0, numFeatures):
+// the trees Predict and the compiled form walk without indexing
+// out of range on rows of numFeatures features. LoadModel runs it on
+// decoded trees, which carry whatever the artifact said.
+func (t *Tree) Validate(numClasses, numFeatures int) error {
+	if t.root == nil {
+		return fmt.Errorf("dtree: tree has no root")
+	}
+	var walk func(n *node) error
+	walk = func(n *node) error {
+		if n.leaf {
+			if n.class < 0 || n.class >= numClasses {
+				return fmt.Errorf("dtree: leaf class %d out of range [0, %d)", n.class, numClasses)
+			}
+			return nil
+		}
+		if n.feature < 0 || n.feature >= numFeatures {
+			return fmt.Errorf("dtree: split feature %d out of range [0, %d)", n.feature, numFeatures)
+		}
+		if err := walk(n.left); err != nil {
+			return err
+		}
+		return walk(n.right)
+	}
+	return walk(t.root)
+}
+
 // NumNodes returns the total node count.
 func (t *Tree) NumNodes() int { return countNodes(t.root) }
 

@@ -74,8 +74,8 @@ func TestKernels2DMatchReference(t *testing.T) {
 			var wRef, wNew Work
 			for s := 0; s < 3; s++ { // repeated sweeps compound any drift
 				referenceSOR2D(uRef, f, omega, &wRef)
-				SOR2D(uNew, f, omega, &wNew)
 			}
+			SOR2D(uNew, f, omega, 3, &wNew)
 			sameBits(t, "SOR2D", uNew.Data, uRef.Data)
 			sameWork(t, "SOR2D", wNew, wRef)
 
@@ -153,8 +153,8 @@ func TestKernels3DMatchReference(t *testing.T) {
 			var wRef, wNew Work
 			for s := 0; s < 2; s++ {
 				referenceSOR3D(op, uRef, f, omega, &wRef)
-				SOR3D(op, uNew, f, omega, &wNew)
 			}
+			SOR3D(op, uNew, f, omega, 2, &wNew)
 			sameBits(t, "SOR3D", uNew.Data, uRef.Data)
 			sameWork(t, "SOR3D", wNew, wRef)
 
@@ -214,6 +214,136 @@ func TestMGCycle3DMatchesReference(t *testing.T) {
 				sameBits(t, "MGCycle3D", uNew.Data, uRef.Data)
 				sameWork(t, "MGCycle3D", wNew, wRef)
 			}
+		}
+	}
+}
+
+// multiSweepCounts and multiSweepSizes span the multi-sweep kernels'
+// schedules: no sweep, a lone sweep, partial and full wavefronts, several
+// wavefronts with a remainder, and grids from all-boundary to the largest
+// poisson2d training size. 3-D stops at multiSweepMax3D, twice the largest
+// helmholtz3d size: a 63³ grid would make this test dominate the package's
+// -race run.
+var (
+	multiSweepCounts = []int{0, 1, 2, 3, 4, 5, 8, 41}
+	multiSweepSizes  = []int{1, 2, 3, 7, 15, 31, 63}
+)
+
+const multiSweepMax3D = 31
+
+// TestMultiSweepSORMatchesReference proves one SOR2D or SOR3D call of k
+// sweeps equals k consecutive reference sweeps bit for bit and flop for
+// flop. The reference runs once up to the largest k and is compared at
+// each k on the way; each k gets a fresh multi-sweep call from the same
+// start. 3-D runs through Hierarchy3D.SOR (the production path) and, at
+// the smaller sizes, through the self-padding SOR3D.
+func TestMultiSweepSORMatchesReference(t *testing.T) {
+	r := rng.New(53)
+	maxK := multiSweepCounts[len(multiSweepCounts)-1]
+	for _, n := range multiSweepSizes {
+		for _, omega := range []float64{1.0, 1.7} {
+			u0, f := randGrid2D(n, r), randGrid2D(n, r)
+			ref := u0.Clone()
+			var wRef Work
+			next := 0
+			for done := 0; done <= maxK; done++ {
+				if done == multiSweepCounts[next] {
+					u := u0.Clone()
+					var w Work
+					SOR2D(u, f, omega, done, &w)
+					label := fmt.Sprintf("n=%d omega=%v SOR2D×%d", n, omega, done)
+					sameBits(t, label, u.Data, ref.Data)
+					sameWork(t, label, w, wRef)
+					next++
+				}
+				referenceSOR2D(ref, f, omega, &wRef)
+			}
+		}
+
+		if n > multiSweepMax3D {
+			continue
+		}
+		op := randOp3D(n, r)
+		u0, f := randGrid3D(n, r), randGrid3D(n, r)
+		h := NewHierarchy3D(op)
+		ref := u0.Clone()
+		var wRef Work
+		next := 0
+		for done := 0; done <= maxK; done++ {
+			if done == multiSweepCounts[next] {
+				u := u0.Clone()
+				var w Work
+				h.SOR(u, f, 1.3, done, &w)
+				label := fmt.Sprintf("n=%d Hierarchy3D.SOR×%d", n, done)
+				sameBits(t, label, u.Data, ref.Data)
+				sameWork(t, label, w, wRef)
+				if n <= 15 {
+					u, w = u0.Clone(), Work{}
+					SOR3D(op, u, f, 1.3, done, &w)
+					label = fmt.Sprintf("n=%d SOR3D×%d", n, done)
+					sameBits(t, label, u.Data, ref.Data)
+					sameWork(t, label, w, wRef)
+				}
+				next++
+			}
+			referenceSOR3D(op, ref, f, 1.3, &wRef)
+		}
+	}
+}
+
+// checkZeroGhosts fails t unless every ghost cell of the (n+2)³ scratch
+// pu is +0: the padded sweep reads ghosts as the reference's out-of-range
+// zero neighbours.
+func checkZeroGhosts(t *testing.T, label string, pu []float64, n int) {
+	t.Helper()
+	p := n + 2
+	for i := 0; i < p; i++ {
+		for j := 0; j < p; j++ {
+			for k := 0; k < p; k++ {
+				interior := i > 0 && i <= n && j > 0 && j <= n && k > 0 && k <= n
+				if v := pu[(i*p+j)*p+k]; !interior && math.Float64bits(v) != 0 {
+					t.Fatalf("%s: ghost (%d,%d,%d) of n=%d scratch holds %v", label, i, j, k, n, v)
+				}
+			}
+		}
+	}
+}
+
+// TestPaddedScratchAlternatingSizesMatchesReference drives one pooled
+// hierarchy through smoothing runs and cycles that alternate between its
+// levels' grid sizes (15, 7, 3), on fresh problems each time, and checks
+// every result against the reference and every level's scratch for zero
+// ghosts: a scratch that leaked one size's interior into another size's
+// ghost layer would show in both.
+func TestPaddedScratchAlternatingSizesMatchesReference(t *testing.T) {
+	r := rng.New(59)
+	n := 15
+	op := randOp3D(n, r)
+	h := NewHierarchy3D(op)
+	opt := MGOptions3D{Pre: 2, Post: 3, Gamma: 2, Omega: 1.1}
+	for round := 0; round < 4; round++ {
+		u, f := randGrid3D(n, r), randGrid3D(n, r)
+		sweeps := 1 + round
+		uRef, uNew := u.Clone(), u.Clone()
+		var wRef, wNew Work
+		for s := 0; s < sweeps; s++ {
+			referenceSOR3D(op, uRef, f, 1.4, &wRef)
+		}
+		h.SOR(uNew, f, 1.4, sweeps, &wNew)
+		sameBits(t, fmt.Sprintf("round %d SOR×%d", round, sweeps), uNew.Data, uRef.Data)
+		sameWork(t, fmt.Sprintf("round %d SOR×%d", round, sweeps), wNew, wRef)
+
+		wRef, wNew = Work{}, Work{}
+		ReferenceMGCycle3D(op, uRef, f, opt, &wRef)
+		h.Cycle(uNew, f, opt, &wNew)
+		sameBits(t, fmt.Sprintf("round %d cycle", round), uNew.Data, uRef.Data)
+		sameWork(t, fmt.Sprintf("round %d cycle", round), wNew, wRef)
+
+		for l, pu := range h.pad {
+			if pu == nil {
+				t.Fatalf("round %d: level %d never swept", round, l)
+			}
+			checkZeroGhosts(t, fmt.Sprintf("round %d level %d", round, l), pu, h.sizes[l])
 		}
 	}
 }
@@ -279,8 +409,8 @@ func TestHierarchyJacobiMatchesAllocating(t *testing.T) {
 	for s := 0; s < 5; s++ {
 		Jacobi3D(op, uAlloc3, f3, 0.8, &w1)
 		h3.Jacobi(uWS3, f3, 0.8, &w2)
-		SOR3D(op, uAlloc3, f3, 1.2, &w1)
-		h3.SOR(uWS3, f3, 1.2, &w2)
+		SOR3D(op, uAlloc3, f3, 1.2, s, &w1)
+		h3.SOR(uWS3, f3, 1.2, s, &w2)
 	}
 	sameBits(t, "Hierarchy3D.Jacobi/SOR", uWS3.Data, uAlloc3.Data)
 	sameWork(t, "Hierarchy3D.Jacobi/SOR", w2, w1)
@@ -383,6 +513,11 @@ var degenerateValues = []struct {
 	{"+Inf", math.Inf(1)},
 	{"-Inf", math.Inf(-1)},
 	{"NaN", math.NaN()},
+	// Finite coefficients beyond MaxFloat64/2 overflow the mirrored-ghost
+	// face average, so an operator holding one keeps the boundary-split
+	// SOR sweep (mirrorExact3D).
+	{"+Max", math.MaxFloat64},
+	{"-Max", -math.MaxFloat64},
 }
 
 // degenerateCells returns the flat indices the degenerate value is
@@ -448,8 +583,8 @@ func TestDegenerateKernels2DMatchReference(t *testing.T) {
 					var wRef, wNew Work
 					for s := 0; s < 2; s++ {
 						referenceSOR2D(uRef, f, 1.3, &wRef)
-						SOR2D(uNew, f, 1.3, &wNew)
 					}
+					SOR2D(uNew, f, 1.3, 2, &wNew)
 					sameBits(t, label+" SOR2D", uNew.Data, uRef.Data)
 					sameWork(t, label+" SOR2D", wNew, wRef)
 
@@ -485,12 +620,16 @@ func TestDegenerateKernels2DMatchReference(t *testing.T) {
 // and SOR, Jacobi, the residual and a multigrid cycle must match the
 // reference bit for bit. Boundary cells take edgeStencil3D, whose
 // out-of-range faces still form a*0, so Inf and NaN coefficients reach the
-// flux exactly as in the reference.
+// flux exactly as in the reference. The "a+nan" target also puts a NaN in
+// u beside the coefficient cell: a ±MaxFloat64 coefficient's SOR update is
+// NaN on every path, but only the reference's NaN carries that u's
+// payload, so a padded sweep that mirrored such a coefficient would show
+// there.
 func TestDegenerateKernels3DMatchReference(t *testing.T) {
 	r := rng.New(47)
 	for _, n := range []int{1, 2, 3, 7} {
 		for _, dv := range degenerateValues {
-			for _, target := range []string{"a", "c", "u", "f", "a-checker", "u-checker"} {
+			for _, target := range []string{"a", "c", "u", "f", "a-checker", "u-checker", "a+nan"} {
 				cells := degenerateCells(n, 3)
 				if target == "c" {
 					cells = cells[:1]
@@ -505,6 +644,15 @@ func TestDegenerateKernels3DMatchReference(t *testing.T) {
 					switch strings.TrimSuffix(target, "-checker") {
 					case "a":
 						op.A.Data[cell] = dv.v
+					case "a+nan":
+						op.A.Data[cell] = dv.v
+						if n > 1 { // NaN into the cell's k-neighbour
+							if cell%n < n-1 {
+								u.Data[cell+1] = math.NaN()
+							} else {
+								u.Data[cell-1] = math.NaN()
+							}
+						}
 					case "c":
 						op.C = dv.v
 					case "u":
@@ -513,17 +661,28 @@ func TestDegenerateKernels3DMatchReference(t *testing.T) {
 						f.Data[cell] = dv.v
 					}
 
+					// A 2-sweep call runs one plane-lagged pair; a 3-sweep
+					// call adds a lone sweep.
+					for _, sweeps := range []int{2, 3} {
+						uRef, uNew := u.Clone(), u.Clone()
+						var wRef, wNew Work
+						for s := 0; s < sweeps; s++ {
+							referenceSOR3D(op, uRef, f, 1.3, &wRef)
+						}
+						SOR3D(op, uNew, f, 1.3, sweeps, &wNew)
+						sameBits(t, fmt.Sprintf("%s SOR3D×%d", label, sweeps), uNew.Data, uRef.Data)
+						sameWork(t, fmt.Sprintf("%s SOR3D×%d", label, sweeps), wNew, wRef)
+					}
+					if target == "a+nan" {
+						// This target pins the SOR fallback only. Two NaNs
+						// with different payloads meet in Prolong3D's
+						// boundary adds, whose operand order (and so the
+						// surviving payload) the compiler picks.
+						continue
+					}
+
 					uRef, uNew := u.Clone(), u.Clone()
 					var wRef, wNew Work
-					for s := 0; s < 2; s++ {
-						referenceSOR3D(op, uRef, f, 1.3, &wRef)
-						SOR3D(op, uNew, f, 1.3, &wNew)
-					}
-					sameBits(t, label+" SOR3D", uNew.Data, uRef.Data)
-					sameWork(t, label+" SOR3D", wNew, wRef)
-
-					uRef, uNew = u.Clone(), u.Clone()
-					wRef, wNew = Work{}, Work{}
 					referenceJacobi3D(op, uRef, f, 0.8, &wRef)
 					Jacobi3D(op, uNew, f, 0.8, &wNew)
 					sameBits(t, label+" Jacobi3D", uNew.Data, uRef.Data)

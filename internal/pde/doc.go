@@ -20,6 +20,17 @@
 //     and v = 0 (a*v still formed, so Inf and NaN behave as in the
 //     reference). The dense transform behind DirectPoisson2D accumulates
 //     a row at a time, each element summing in ascending order from +0.
+//   - SOR2D and SOR3D take a sweep count, and every solver runs its
+//     consecutive sweeps in one call. SOR2D runs them as wavefronts of up
+//     to four sweeps, each trailing the one before by two rows; SOR3D runs
+//     them in pairs, the second trailing by two planes, over a zero-ghost
+//     padded copy of the grid, with a boundary face's coefficient averaged
+//     from the cell's own coefficient twice (0.5*(ac+ac) == ac), so every
+//     3-D cell runs one branch-free stencil. Each cell still updates with
+//     the same expression, in the same order, from the same neighbour
+//     values as consecutive single sweeps. An operator level holding a
+//     finite coefficient above MaxFloat64/2, where that average overflows,
+//     keeps the boundary-split sweep.
 //   - The reference kernels (reference.go) are the original At-indexed,
 //     allocate-per-call implementations — the simplest statement of the
 //     numerics, retained as the differential-testing baseline. The
@@ -29,8 +40,9 @@
 // The two layers are bit-identical: the production kernels preserve the
 // reference floating-point expression shapes and operand order exactly,
 // and differential_test.go enforces equality of every grid value (by bit
-// pattern) and every op count on randomized inputs and on a table of
-// degenerate values (±0, subnormals, ±Inf, NaN).
+// pattern) and every op count on randomized inputs, on a table of
+// degenerate values (±0, subnormals, ±Inf, NaN, ±MaxFloat64) and for
+// multi-sweep SOR calls against as many reference sweeps.
 //
 // # Multigrid workspace engine
 //
@@ -41,5 +53,6 @@
 // Cycle is an allocation-free inner loop. ReferenceMGCycle2D/3D retain
 // the original allocate-per-cycle recursion as the baseline. OpChain3D is
 // immutable and shareable across goroutines; hierarchies themselves are
-// single-threaded and meant to be pooled.
+// single-threaded and meant to be pooled. A Hierarchy3D also owns one
+// padded SOR scratch per level, whose ghost layer is never written.
 package pde

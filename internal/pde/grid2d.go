@@ -164,28 +164,78 @@ func sorCell2D(ud, fd []float64, n, i, j int, h2, omega float64) {
 	ud[idx] = ud[idx] + omega*(gs-ud[idx])
 }
 
-// SOR2D performs one successive-over-relaxation sweep (omega = 1 gives
-// Gauss-Seidel) on -Δu = f.
-func SOR2D(u, f *Grid2D, omega float64, w *Work) {
+// sor2DDepth is how many SOR2D sweeps one wavefront keeps in flight.
+const sor2DDepth = 4
+
+// SOR2D performs sweeps successive-over-relaxation sweeps (omega = 1 gives
+// Gauss-Seidel) on -Δu = f. The sweeps run as wavefronts of up to
+// sor2DDepth sweeps, sweep s+1 trailing sweep s by two rows (sor2DWave);
+// every cell is updated with the same expression, in the same order, from
+// the same neighbour values as that many consecutive single sweeps, so the
+// grid and the flop charge are bit-identical to them.
+func SOR2D(u, f *Grid2D, omega float64, sweeps int, w *Work) {
+	if sweeps <= 0 {
+		return
+	}
 	n := u.N
 	h2 := u.h() * u.h()
-	ud, fd := u.Data, f.Data
-	for i := 0; i < n; i++ {
-		if i == 0 || i == n-1 {
-			for j := 0; j < n; j++ {
-				sorCell2D(ud, fd, n, i, j, h2, omega)
+	for done := 0; done < sweeps; done += sor2DDepth {
+		sor2DWave(u.Data, f.Data, n, h2, omega, min(sor2DDepth, sweeps-done))
+	}
+	w.Flops += 8 * n * n * sweeps
+}
+
+// sor2DWave runs d ≤ sor2DDepth consecutive sweeps as one wavefront: at
+// step t, sweep q updates row t-2q. When sweep q reaches row i it has
+// finished row i-1, sweep q-1 has finished row i+1, and sweep q+1 has not
+// yet reached row i-1, so the row reads exactly the neighbours a lone
+// sweep q would. The rows of one
+// step lie at least two apart, so no cell of one is a neighbour of a cell
+// of another, and their updates are independent: sorRows2D interleaves
+// them column by column, which breaks the left-neighbour dependency chain
+// that makes a single sweep latency-bound. (A lag of one row would leave
+// each row reading the row below it in the same step.)
+func sor2DWave(ud, fd []float64, n int, h2, omega float64, d int) {
+	var rows [sor2DDepth]int
+	for t := 0; t < n+2*(d-1); t++ {
+		m := 0
+		for q := 0; q < d; q++ {
+			i := t - 2*q
+			if i < 0 || i >= n {
+				continue
 			}
-			continue
+			if i == 0 || i == n-1 {
+				for j := 0; j < n; j++ {
+					sorCell2D(ud, fd, n, i, j, h2, omega)
+				}
+				continue
+			}
+			rows[m] = i * n
+			m++
 		}
-		sorCell2D(ud, fd, n, i, 0, h2, omega)
-		row := i * n
-		for idx := row + 1; idx < row+n-1; idx++ {
+		if m > 0 {
+			sorRows2D(ud, fd, n, rows[:m], h2, omega)
+		}
+	}
+}
+
+// sorRows2D sweeps the interior rows starting at the flat offsets in rows
+// (pairwise at least two rows apart), one column at a time across all of
+// them. Each row's own cells still update in ascending column order.
+func sorRows2D(ud, fd []float64, n int, rows []int, h2, omega float64) {
+	for _, row := range rows {
+		sorCell2D(ud, fd, n, row/n, 0, h2, omega)
+	}
+	for j := 1; j < n-1; j++ {
+		for _, row := range rows {
+			idx := row + j
 			gs := (ud[idx-n] + ud[idx+n] + ud[idx-1] + ud[idx+1] + h2*fd[idx]) / 4
 			ud[idx] = ud[idx] + omega*(gs-ud[idx])
 		}
-		sorCell2D(ud, fd, n, i, n-1, h2, omega)
 	}
-	w.Flops += 8 * n * n
+	for _, row := range rows {
+		sorCell2D(ud, fd, n, row/n, n-1, h2, omega)
+	}
 }
 
 // Restrict2D full-weights the residual to the (n-1)/2 coarse grid.

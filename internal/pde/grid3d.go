@@ -105,12 +105,15 @@ func edgeStencil3D(ad, ud []float64, n, i, j, k int, h2, c float64) (lu, diag fl
 	return lu, diag
 }
 
-// The 3-D sweeps below are boundary-split like their 2-D counterparts: the
-// innermost k-run of every interior (i, j) pencil evaluates the seven-point
-// flux stencil over raw slices (face coefficients averaged inline, in the
-// reference direction order +i, -i, +j, -j, +k, -k), while boundary cells
-// go through edgeStencil3D. Expression shapes and accumulation order match
-// the reference kernels exactly, so grids stay bit-identical.
+// The 3-D Jacobi sweep and residual below are boundary-split like their
+// 2-D counterparts: the innermost k-run of every interior (i, j) pencil
+// evaluates the seven-point flux stencil over raw slices (face
+// coefficients averaged inline, in the reference direction order +i, -i,
+// +j, -j, +k, -k), while boundary cells go through edgeStencil3D.
+// Expression shapes and accumulation order match the reference kernels
+// exactly, so grids stay bit-identical. SOR sweeps instead run on a padded
+// copy of the grid (sorPadded3D) and fall back to the boundary-split sweep
+// (sorSplit3D) only where that is not exact.
 
 // sorCell3D is the per-cell SOR update for boundary cells.
 func sorCell3D(ad, ud, fd []float64, n, i, j, k int, h2, c, omega float64) {
@@ -120,8 +123,191 @@ func sorCell3D(ad, ud, fd []float64, n, i, j, k int, h2, c, omega float64) {
 	ud[idx] = uc + omega*(fd[idx]-lu)/diag
 }
 
-// SOR3D performs one SOR sweep (omega = 1 gives Gauss-Seidel).
-func SOR3D(op *Helmholtz3D, u, f *Grid3D, omega float64, w *Work) {
+// SOR3D performs sweeps SOR sweeps (omega = 1 gives Gauss-Seidel),
+// bit-identical to that many consecutive reference sweeps. It checks the
+// coefficients and allocates the padded scratch on every call; repeated
+// solves should sweep through a Hierarchy3D, whose operator chain checks
+// each level once and whose scratch is reused.
+func SOR3D(op *Helmholtz3D, u, f *Grid3D, omega float64, sweeps int, w *Work) {
+	if sweeps <= 0 {
+		return
+	}
+	var pu []float64
+	if mirrorExact3D(op.A) {
+		p := u.N + 2
+		pu = make([]float64, p*p*p)
+	}
+	sor3D(op, pu, u, f, omega, sweeps, w)
+}
+
+// sor3D performs sweeps SOR sweeps of op on u. pu is a zero-ghost scratch
+// grid of (u.N+2)³ cells, or nil when op fails mirrorExact3D and must take
+// the boundary-split sweep.
+func sor3D(op *Helmholtz3D, pu []float64, u, f *Grid3D, omega float64, sweeps int, w *Work) {
+	if sweeps <= 0 {
+		return
+	}
+	if pu == nil {
+		for s := 0; s < sweeps; s++ {
+			sorSplit3D(op, u, f, omega)
+		}
+	} else {
+		sorPadded3D(op, pu, u, f, omega, sweeps)
+	}
+	n := u.N
+	w.Flops += 17 * n * n * n * sweeps
+}
+
+// mirrorExact3D reports whether every coefficient v satisfies
+// 0.5*(v+v) == v bit for bit, which fails only for a finite |v| above
+// MaxFloat64/2, where v+v overflows. The padded sweep averages a boundary
+// face with the cell's own coefficient on both sides, as if the
+// coefficient field were mirrored across the boundary, so only then does
+// it reproduce the reference's face coefficient ac; an operator failing
+// the check keeps the boundary-split sweep.
+func mirrorExact3D(a *Grid3D) bool {
+	for _, v := range a.Data {
+		if math.Float64bits(0.5*(v+v)) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// padInterior3D copies the n³ grid src into the interior of the (n+2)³
+// grid dst.
+func padInterior3D(dst, src []float64, n int) {
+	p := n + 2
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			o := ((i+1)*p+j+1)*p + 1
+			copy(dst[o:o+n], src[(i*n+j)*n:(i*n+j)*n+n])
+		}
+	}
+}
+
+// unpadInterior3D copies the interior of the (n+2)³ grid src into the n³
+// grid dst.
+func unpadInterior3D(dst, src []float64, n int) {
+	p := n + 2
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			o := ((i+1)*p+j+1)*p + 1
+			copy(dst[(i*n+j)*n:(i*n+j)*n+n], src[o:o+n])
+		}
+	}
+}
+
+// sor3DDepth is how many SOR3D sweeps one wavefront keeps in flight.
+const sor3DDepth = 2
+
+// sorPadded3D runs sweeps SOR sweeps of op over the zero-ghost scratch pu:
+// u is copied into pu's interior, swept, and copied back. A zero ghost
+// contributes a*0 to the flux exactly as the reference's out-of-range
+// neighbour does, and a boundary face's coefficient is averaged from the
+// cell's own coefficient twice, which op's passing mirrorExact3D makes
+// the reference's face coefficient ac, so every cell runs one branch-free
+// stencil with the reference expression shapes and accumulation order.
+// Sweeps go in pairs, the second trailing the first by two planes, as
+// sor2DWave trails rows: when the second reaches plane i, the first has
+// finished plane i+1 and is on plane i+2, whose stencil reaches neither
+// plane i nor anything else the second writes, so the two planes' cells
+// update interleaved with the same results as two sweeps in a row. An odd
+// last sweep runs alone.
+func sorPadded3D(op *Helmholtz3D, pu []float64, u, f *Grid3D, omega float64, sweeps int) {
+	n := u.N
+	h2 := u.h() * u.h()
+	padInterior3D(pu, u.Data, n)
+	var planes [sor3DDepth]int
+	for done := 0; done < sweeps; done += sor3DDepth {
+		d := min(sor3DDepth, sweeps-done)
+		for t := 0; t < n+2*(d-1); t++ {
+			m := 0
+			for q := 0; q < d; q++ {
+				if i := t - 2*q; i >= 0 && i < n {
+					planes[m] = i
+					m++
+				}
+			}
+			if m > 0 {
+				sorPlanes3D(op.A.Data, pu, f.Data, n, planes[:m], h2, op.C, omega)
+			}
+		}
+	}
+	unpadInterior3D(u.Data, pu, n)
+}
+
+// sorPlanes3D sweeps the given planes (pairwise at least two apart) of the
+// padded grid pu, one cell position at a time across all of them; each
+// plane's own cells still update in ascending (j, k) order. Coefficients
+// and right-hand side are read unpadded; a face on the boundary reads the
+// cell's own coefficient (offset 0, faceOffsets).
+func sorPlanes3D(ad, pu, fd []float64, n int, planes []int, h2, c, omega float64) {
+	p := n + 2
+	p2 := p * p
+	// Per plane: the ±i coefficient offsets, and the unpadded and padded
+	// flat indices of the current pencil's first cell.
+	var xp, xm, ab, pb [sor3DDepth]int
+	for q, i := range planes {
+		xp[q], xm[q] = faceOffsets(i, n, n*n)
+	}
+	for j := 0; j < n; j++ {
+		yp, ym := faceOffsets(j, n, n)
+		for q, i := range planes {
+			ab[q] = (i*n + j) * n
+			pb[q] = ((i+1)*p+j+1)*p + 1
+		}
+		for k := 0; k < n; k++ {
+			zp, zm := faceOffsets(k, n, 1)
+			for q := range planes {
+				ia, idx := ab[q]+k, pb[q]+k
+				ac := ad[ia]
+				axp := 0.5 * (ac + ad[ia+xp[q]])
+				axm := 0.5 * (ac + ad[ia+xm[q]])
+				ayp := 0.5 * (ac + ad[ia+yp])
+				aym := 0.5 * (ac + ad[ia+ym])
+				azp := 0.5 * (ac + ad[ia+zp])
+				azm := 0.5 * (ac + ad[ia+zm])
+				sumA := 0.0
+				sumA += axp
+				sumA += axm
+				sumA += ayp
+				sumA += aym
+				sumA += azp
+				sumA += azm
+				flux := 0.0
+				flux += axp * pu[idx+p2]
+				flux += axm * pu[idx-p2]
+				flux += ayp * pu[idx+p]
+				flux += aym * pu[idx-p]
+				flux += azp * pu[idx+1]
+				flux += azm * pu[idx-1]
+				uc := pu[idx]
+				diag := sumA/h2 + c
+				lu := (sumA*uc-flux)/h2 + c*uc
+				pu[idx] = uc + omega*(fd[ia]-lu)/diag
+			}
+		}
+	}
+}
+
+// faceOffsets returns the flat offsets, along an axis of the given stride,
+// from a cell at coordinate x to the coefficients across its + and - faces:
+// ±stride inside the grid, 0 (the cell itself) on the boundary.
+func faceOffsets(x, n, stride int) (plus, minus int) {
+	if x < n-1 {
+		plus = stride
+	}
+	if x > 0 {
+		minus = -stride
+	}
+	return plus, minus
+}
+
+// sorSplit3D performs one boundary-split SOR sweep: interior pencils
+// inline, boundary cells through edgeStencil3D. It is the sweep for
+// operators that fail mirrorExact3D; sor3D charges its flops.
+func sorSplit3D(op *Helmholtz3D, u, f *Grid3D, omega float64) {
 	n := u.N
 	h2 := u.h() * u.h()
 	n2 := n * n
@@ -167,7 +353,6 @@ func SOR3D(op *Helmholtz3D, u, f *Grid3D, omega float64, w *Work) {
 			sorCell3D(ad, ud, fd, n, i, j, n-1, h2, cc, omega)
 		}
 	}
-	w.Flops += 17 * n * n * n
 }
 
 // jacobiCell3D is the per-cell Jacobi update for boundary cells.

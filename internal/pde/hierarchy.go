@@ -74,14 +74,10 @@ func (h *Hierarchy2D) cycle(l int, u, f *Grid2D, opt MGOptions2D, w *Work) {
 	n := u.N
 	if n <= 3 {
 		// Coarsest level: smooth hard (tiny cost).
-		for s := 0; s < 8; s++ {
-			SOR2D(u, f, 1.0, w)
-		}
+		SOR2D(u, f, 1.0, 8, w)
 		return
 	}
-	for s := 0; s < opt.Pre; s++ {
-		SOR2D(u, f, opt.Omega, w)
-	}
+	SOR2D(u, f, opt.Omega, opt.Pre, w)
 	r := h.res[l]
 	Residual2D(u, f, r, w)
 	cu, cf := h.cu[l+1], h.cf[l+1]
@@ -91,9 +87,7 @@ func (h *Hierarchy2D) cycle(l int, u, f *Grid2D, opt MGOptions2D, w *Work) {
 		h.cycle(l+1, cu, cf, opt, w)
 	}
 	Prolong2D(cu, u, w)
-	for s := 0; s < opt.Post; s++ {
-		SOR2D(u, f, opt.Omega, w)
-	}
+	SOR2D(u, f, opt.Omega, opt.Post, w)
 }
 
 // Jacobi performs one weighted Jacobi sweep on the fine grid using the
@@ -112,9 +106,12 @@ func (h *Hierarchy2D) Jacobi(u, f *Grid2D, omega float64, w *Work) {
 // ops[0] is the fine operator and ops[l+1] = ops[l].coarsen(). The chain
 // is immutable once built, so it is computed once per problem and shared
 // by every hierarchy (and every goroutine) solving that problem —
-// MGCycle3D used to re-derive it on every cycle at every level.
+// MGCycle3D used to re-derive it on every cycle at every level. padded[l]
+// reports whether level l's SOR sweeps run padded (mirrorExact3D), decided
+// once per level; a level that fails keeps the boundary-split sweep.
 type OpChain3D struct {
-	ops []*Helmholtz3D
+	ops    []*Helmholtz3D
+	padded []bool
 }
 
 // NewOpChain3D coarsens op down the same ladder gridLadder yields.
@@ -123,6 +120,10 @@ func NewOpChain3D(op *Helmholtz3D) *OpChain3D {
 	for last := op; last.A.N > 3; {
 		last = last.coarsen()
 		c.ops = append(c.ops, last)
+	}
+	c.padded = make([]bool, len(c.ops))
+	for l, o := range c.ops {
+		c.padded[l] = mirrorExact3D(o.A)
 	}
 	return c
 }
@@ -141,6 +142,11 @@ type Hierarchy3D struct {
 	cu    []*Grid3D
 	cf    []*Grid3D
 	next  []float64
+	// pad[l] is level l's padded SOR scratch, allocated on first use.
+	// Sweeps write only its interior, so its ghosts stay zero; each level
+	// keeps its own because a buffer shared across sizes would turn one
+	// size's interior cells into another's ghosts.
+	pad [][]float64
 }
 
 // NewHierarchy3D builds the operator chain for op and allocates a
@@ -157,6 +163,7 @@ func NewHierarchy3DFromChain(chain *OpChain3D) *Hierarchy3D {
 	h.res = make([]*Grid3D, len(sizes))
 	h.cu = make([]*Grid3D, len(sizes))
 	h.cf = make([]*Grid3D, len(sizes))
+	h.pad = make([][]float64, len(sizes))
 	for l, sz := range sizes {
 		h.res[l] = NewGrid3D(sz)
 		if l > 0 {
@@ -165,6 +172,15 @@ func NewHierarchy3DFromChain(chain *OpChain3D) *Hierarchy3D {
 		}
 	}
 	return h
+}
+
+// sor performs sweeps SOR sweeps with level l's operator.
+func (h *Hierarchy3D) sor(l int, u, f *Grid3D, omega float64, sweeps int, w *Work) {
+	if h.chain.padded[l] && h.pad[l] == nil {
+		p := h.sizes[l] + 2
+		h.pad[l] = make([]float64, p*p*p)
+	}
+	sor3D(h.chain.ops[l], h.pad[l], u, f, omega, sweeps, w)
 }
 
 // N returns the fine-grid size the hierarchy was built for.
@@ -189,14 +205,10 @@ func (h *Hierarchy3D) cycle(l int, u, f *Grid3D, opt MGOptions3D, w *Work) {
 	op := h.chain.ops[l]
 	n := u.N
 	if n <= 3 {
-		for s := 0; s < 8; s++ {
-			SOR3D(op, u, f, 1.0, w)
-		}
+		h.sor(l, u, f, 1.0, 8, w)
 		return
 	}
-	for s := 0; s < opt.Pre; s++ {
-		SOR3D(op, u, f, opt.Omega, w)
-	}
+	h.sor(l, u, f, opt.Omega, opt.Pre, w)
 	r := h.res[l]
 	Residual3D(op, u, f, r, w)
 	cu, cf := h.cu[l+1], h.cf[l+1]
@@ -206,9 +218,7 @@ func (h *Hierarchy3D) cycle(l int, u, f *Grid3D, opt MGOptions3D, w *Work) {
 		h.cycle(l+1, cu, cf, opt, w)
 	}
 	Prolong3D(cu, u, w)
-	for s := 0; s < opt.Post; s++ {
-		SOR3D(op, u, f, opt.Omega, w)
-	}
+	h.sor(l, u, f, opt.Omega, opt.Post, w)
 }
 
 // CoarseCorrect performs the coarse-grid correction phase of one fine-
@@ -258,9 +268,11 @@ func (h *Hierarchy3D) Jacobi(u, f *Grid3D, omega float64, w *Work) {
 	jacobi3D(h.chain.ops[0], u, f, omega, h.next, w)
 }
 
-// SOR performs one SOR sweep with the chain's fine operator (no scratch
-// needed; provided so callers can drive every smoother through one
-// hierarchy handle).
-func (h *Hierarchy3D) SOR(u, f *Grid3D, omega float64, w *Work) {
-	SOR3D(h.chain.ops[0], u, f, omega, w)
+// SOR performs sweeps SOR sweeps with the chain's fine operator, over the
+// hierarchy's padded scratch.
+func (h *Hierarchy3D) SOR(u, f *Grid3D, omega float64, sweeps int, w *Work) {
+	if u.N != h.sizes[0] {
+		panic(fmt.Sprintf("pde: Hierarchy3D built for N=%d used with N=%d", h.sizes[0], u.N))
+	}
+	h.sor(0, u, f, omega, sweeps, w)
 }

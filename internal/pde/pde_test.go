@@ -48,9 +48,7 @@ func TestSORConvergesOnPoisson(t *testing.T) {
 	f, exact := manufactured2D(n, 1, 1)
 	u := NewGrid2D(n)
 	var w Work
-	for it := 0; it < 400; it++ {
-		SOR2D(u, f, 1.5, &w)
-	}
+	SOR2D(u, f, 1.5, 400, &w)
 	if err := u.SubRMS(exact); err > 1e-6*exact.RMS() {
 		t.Fatalf("SOR error %v after 400 sweeps", err)
 	}
@@ -100,7 +98,7 @@ func TestMultigridBeatsSORPerFlop(t *testing.T) {
 	uSOR := NewGrid2D(n)
 	var wSOR Work
 	for wSOR.Flops < wMG.Flops {
-		SOR2D(uSOR, f, 1.7, &wSOR)
+		SOR2D(uSOR, f, 1.7, 1, &wSOR)
 	}
 	errSOR := uSOR.SubRMS(exact)
 	if errMG >= errSOR {
@@ -215,9 +213,7 @@ func TestSOR3DConverges(t *testing.T) {
 	op, f, exact := manufactured3D(n, 0.5)
 	u := NewGrid3D(n)
 	var w Work
-	for it := 0; it < 200; it++ {
-		SOR3D(op, u, f, 1.5, &w)
-	}
+	SOR3D(op, u, f, 1.5, 200, &w)
 	if err := u.SubRMS(exact); err > 1e-8 {
 		t.Fatalf("SOR3D error %v", err)
 	}

@@ -82,9 +82,7 @@ func TestSORStableForValidOmega(t *testing.T) {
 	for _, omega := range []float64{0.5, 1.0, 1.5, 1.9} {
 		u := NewGrid2D(n)
 		var w Work
-		for it := 0; it < 100; it++ {
-			SOR2D(u, f, omega, &w)
-		}
+		SOR2D(u, f, omega, 100, &w)
 		if err := u.SubRMS(exact); math.IsNaN(err) || err > exact.RMS()*10 {
 			t.Fatalf("omega=%v diverged (err %v)", omega, err)
 		}
@@ -116,9 +114,9 @@ func TestWorkAccumulates(t *testing.T) {
 	f, _ := manufactured2D(n, 1, 1)
 	u := NewGrid2D(n)
 	var w Work
-	SOR2D(u, f, 1.0, &w)
+	SOR2D(u, f, 1.0, 1, &w)
 	one := w.Flops
-	SOR2D(u, f, 1.0, &w)
+	SOR2D(u, f, 1.0, 1, &w)
 	if w.Flops != 2*one {
 		t.Fatalf("work not additive: %d then %d", one, w.Flops)
 	}

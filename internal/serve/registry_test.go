@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,6 +83,97 @@ func TestRegistryBadArtifactKeepsOldModelLive(t *testing.T) {
 	}
 	if after.Generation != before.Generation {
 		t.Fatal("a rejected artifact advanced the generation")
+	}
+}
+
+// withProduction returns the artifact with its production classifier
+// replaced by the given JSON payload and, when scaler is non-nil, its
+// scaler means replaced too.
+func withProduction(t *testing.T, artifact []byte, production string, scaler []float64) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(artifact, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["production"] = json.RawMessage(production)
+	if scaler != nil {
+		raw, err := json.Marshal(scaler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m["scaler_means"] = raw
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRegistryRejectsArtifactsThatCannotClassify edits the sort artifact
+// into well-formed models whose classifier would index out of range at
+// classify time: a tree leaf naming landmark 99 of 4, a split on feature
+// 10000, a static feature 10000, incremental payloads over the wrong class
+// count or an out-of-range feature, and a short scaler. Load must reject
+// each while the previous snapshot keeps serving in-range labels. A
+// well-formed edit of the same shape must still load, so the rejections
+// come from the payload checks, not the editing.
+func TestRegistryRejectsArtifactsThatCannotClassify(t *testing.T) {
+	reg := sortServiceRegistry(t)
+	svc := NewService(reg, Options{})
+	before, _ := reg.Get("sort")
+	nf := before.Model.Program.Features().NumFeatures()
+	landmarks := len(before.Model.Landmarks)
+	leaf := func(class int) string { return fmt.Sprintf(`{"leaf":true,"class":%d}`, class) }
+	tree := func(feature int, static string) string {
+		return fmt.Sprintf(`{"name":"probe","kind":"subset-tree","static":%s,"tree":{"num_classes":%d,"root":`+
+			`{"leaf":false,"feature":%d,"threshold":0.5,"left":%s,"right":%s}}}`,
+			static, landmarks, feature, leaf(0), leaf(1))
+	}
+	incremental := func(classes, feature int) string {
+		row := "[" + strings.TrimSuffix(strings.Repeat("-1,", classes), ",") + "]"
+		return fmt.Sprintf(`{"name":"probe","kind":"incremental","static":[0],"incremental":{"num_classes":%d,`+
+			`"threshold":0.9,"order":[%d],"cuts":[[0.5]],"log_cond":[[%s,%s]],"log_prior":%s}}`,
+			classes, feature, row, row, row)
+	}
+	check := func(label string) {
+		t.Helper()
+		cur, _ := reg.Get("sort")
+		if cur != before {
+			t.Fatalf("%s: a rejected artifact displaced the live model", label)
+		}
+		for i, in := range testModels.sortInputs {
+			d, err := svc.Classify("sort", in)
+			if err != nil {
+				t.Fatalf("%s: classify %d: %v", label, i, err)
+			}
+			if d.Landmark < 0 || d.Landmark >= landmarks || d.Generation != before.Generation {
+				t.Fatalf("%s: classify %d served landmark %d from generation %d", label, i, d.Landmark, d.Generation)
+			}
+		}
+	}
+	bad := []struct {
+		name     string
+		artifact []byte
+	}{
+		{"leaf class 99", withProduction(t, testModels.sortArtifct,
+			`{"name":"probe","kind":"subset-tree","static":[0],"tree":{"num_classes":4,"root":`+leaf(99)+`}}`, nil)},
+		{"split on feature 10000", withProduction(t, testModels.sortArtifct, tree(10000, "[0]"), nil)},
+		{"static index 10000", withProduction(t, testModels.sortArtifct, tree(0, "[0,10000]"), nil)},
+		{"incremental class count", withProduction(t, testModels.sortArtifct, incremental(landmarks+1, 0), nil)},
+		{"incremental feature 10000", withProduction(t, testModels.sortArtifct, incremental(landmarks, 10000), nil)},
+		{"short scaler", withProduction(t, testModels.sortArtifct, tree(0, "[0]"), make([]float64, nf-1))},
+	}
+	for _, c := range bad {
+		if _, err := reg.Load(c.artifact); err == nil {
+			t.Fatalf("%s: artifact accepted", c.name)
+		}
+		check(c.name)
+	}
+	for _, good := range []string{tree(0, "[0]"), incremental(landmarks, 0)} {
+		if _, err := reg.Load(withProduction(t, testModels.sortArtifct, good, nil)); err != nil {
+			t.Fatalf("well-formed edit %s rejected: %v", good, err)
+		}
 	}
 }
 
